@@ -30,8 +30,8 @@ done
 if [[ $sanitize -eq 1 ]]; then
     # Dynamic-analysis job. TSan exercises the code paths the static
     # C-rules police: the partition-parallel pipeline (proptests), the
-    # kill-mid-run checkpoint/resume path, and the shared simulation
-    # service's pool; Miri checks the journal codec and AIGER parser —
+    # script's park-and-resume path at 1, 2 and 4 threads, and the
+    # shared simulation service's pool; Miri checks the journal codec and AIGER parser —
     # the two byte-level decoders — for UB. Local setup:
     #   rustup toolchain install nightly
     #   rustup component add rust-src --toolchain nightly   # for TSan
@@ -45,7 +45,7 @@ if [[ $sanitize -eq 1 ]]; then
     host=$(rustc -vV | awk '/^host:/ {print $2}')
     if rustup component list --toolchain nightly 2>/dev/null |
         grep -q "^rust-src.*(installed)"; then
-        echo "==> ThreadSanitizer: pipeline / kill-resume / sim-service tests"
+        echo "==> ThreadSanitizer: pipeline / park-resume / sim-service tests"
         # -Zbuild-std rebuilds std with TSan instrumentation so std's own
         # synchronization is visible to the tool; suppressions are the
         # committed, justified list in ci/tsan.supp.
@@ -53,8 +53,12 @@ if [[ $sanitize -eq 1 ]]; then
             TSAN_OPTIONS="suppressions=$PWD/ci/tsan.supp" \
             cargo +nightly test -Zbuild-std --target "$host" \
             -p sbm-core --test proptests -- \
-            parallel_pipeline_equivalent_and_no_larger_than_serial \
-            killed_checkpointed_run_resumes_identical
+            parallel_pipeline_equivalent_and_no_larger_than_serial
+        RUSTFLAGS="-Zsanitizer=thread" \
+            TSAN_OPTIONS="suppressions=$PWD/ci/tsan.supp" \
+            cargo +nightly test -Zbuild-std --target "$host" \
+            -p sbm-core --lib -- \
+            budgeted_canonical_run_parks_and_resumes_byte_identically
         RUSTFLAGS="-Zsanitizer=thread" \
             TSAN_OPTIONS="suppressions=$PWD/ci/tsan.supp" \
             cargo +nightly test -Zbuild-std --target "$host" -p sbm-sim
@@ -92,6 +96,11 @@ if [[ $quick -eq 0 ]]; then
 else
     echo "==> skipping release build (--quick)"
 fi
+
+# The benchmark package lives outside the workspace; build it so an API
+# change in the crates it uses cannot break it unseen.
+echo "==> cargo build perfbench (release)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q

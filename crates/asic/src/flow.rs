@@ -123,7 +123,7 @@ pub fn run_flow_configured(
                 ..Default::default()
             };
             let run = match checkpoint {
-                Some((dir, true)) => match sbm_script_resumable(aig, &opts) {
+                Some((dir, true)) => match sbm_script_resumable(aig, &opts, None, None) {
                     Ok(run) => run,
                     Err(e) => {
                         eprintln!("cannot resume from {} ({e}); running fresh", dir.display());

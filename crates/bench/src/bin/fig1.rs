@@ -53,12 +53,11 @@ fn main() {
         "windows: {}, pairs tried: {}, rewrites accepted: {}, bailouts: {}",
         result.stats.windows, result.stats.tried, result.stats.accepted, result.stats.bailouts
     );
-    println!(
-        "verify: {}",
-        sbm_bench::verify_pair(&aig, &optimized, 10_000)
-    );
+    let verdict = sbm_bench::verify_pair(&aig, &optimized, 10_000);
+    println!("verify: {verdict}");
     assert!(
         optimized.num_ands() <= aig.num_ands(),
         "the rewrite must not grow the network"
     );
+    sbm_bench::exit_on_mismatch(&[verdict]);
 }

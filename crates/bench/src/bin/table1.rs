@@ -28,7 +28,9 @@
 //! benchmarks matching any comma-separated substring. `--sim-filter off`
 //! disables the simulation-signature candidate filter (see
 //! `SbmOptions::sim_filter`). `--report-json PATH` writes the aggregated
-//! run as a serialized `RunReport`.
+//! run as a serialized `RunReport`. The verify column reads `eq(SAT)`
+//! (proved), `unproven(sim)` (no proof, simulation found no difference)
+//! or `MISMATCH`; any `MISMATCH` makes the binary exit 1 (validation).
 
 use sbm_core::pipeline::PipelineReport;
 use sbm_core::script::{resyn2rs_fixpoint, sbm_script_report, sbm_script_resumable, SbmOptions};
@@ -82,6 +84,7 @@ fn main() {
     let map_opts = MapOptions::default();
     let mut pipeline_report = PipelineReport::default();
     let mut processed: Vec<String> = Vec::new();
+    let mut verdicts: Vec<&str> = Vec::new();
     for name in TABLE1 {
         if !sbm_bench::only_matches(&only, name) {
             continue;
@@ -106,7 +109,7 @@ fn main() {
             .build()
             .expect("valid options");
         let run = if resume {
-            match sbm_script_resumable(&aig, &options) {
+            match sbm_script_resumable(&aig, &options, None, None) {
                 Ok(run) => run,
                 Err(e) => {
                     eprintln!("{name}: cannot resume ({e}); running fresh");
@@ -121,6 +124,7 @@ fn main() {
         let sbm_map = map_luts(&sbm, &map_opts);
 
         let verdict = sbm_bench::verify_pair(&aig, &sbm, 4_000);
+        verdicts.push(verdict);
         println!(
             "{:<12} {:>9} | {:>9} {:>7} | {:>9} {:>7} | {:>8} {:>9}",
             name,
@@ -176,4 +180,5 @@ fn main() {
     println!("paper reference (full scale): arbiter 365/117, div 3267/1211, i2c 207/15,");
     println!("log2 6567/119, max 522/189, mem_ctrl 2086/23, mult 4920/93, priority 103/26,");
     println!("sin 1227/55, hypotenuse 40377/4530, sqrt 3075/1106, square 3242/76");
+    sbm_bench::exit_on_mismatch(&verdicts);
 }

@@ -20,7 +20,9 @@
 //! candidate filter (see `SbmOptions::sim_filter`). `--report-json PATH`
 //! writes the aggregated run as a serialized `RunReport` (the script wall
 //! and the Section III-B monolithic timings land in its `extra`
-//! counters).
+//! counters). The verify column reads `eq(SAT)` (proved),
+//! `unproven(sim)` (no proof, simulation found no difference) or
+//! `MISMATCH`; any `MISMATCH` makes the binary exit 1 (validation).
 
 use sbm_budget::Budget;
 use sbm_core::bdiff::BdiffOptions;
@@ -65,6 +67,7 @@ fn main() {
     let mut pipeline_report = PipelineReport::default();
     let mut script_wall = std::time::Duration::ZERO;
     let mut processed: Vec<String> = Vec::new();
+    let mut verdicts: Vec<&str> = Vec::new();
     for name in TABLE2 {
         if !sbm_bench::only_matches(&only, name) {
             continue;
@@ -83,7 +86,7 @@ fn main() {
             .expect("valid options");
         let timer = Timer::start();
         let run = if resume {
-            match sbm_script_resumable(&aig, &options) {
+            match sbm_script_resumable(&aig, &options, None, None) {
                 Ok(run) => run,
                 Err(e) => {
                     eprintln!("{name}: cannot resume ({e}); running fresh");
@@ -98,6 +101,7 @@ fn main() {
         let sbm = run.aig;
         pipeline_report.merge(&run.stats);
         let verdict = sbm_bench::verify_pair(&aig, &sbm, 4_000);
+        verdicts.push(verdict);
         println!(
             "{:<12} {:>9} | {:>9} {:>8} | {:>9} {:>8} | {:>8} {:>9}",
             name,
@@ -170,4 +174,5 @@ fn main() {
         println!();
         sbm_bench::write_report(path, &run);
     }
+    sbm_bench::exit_on_mismatch(&verdicts);
 }

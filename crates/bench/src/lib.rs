@@ -12,23 +12,43 @@ use sbm_aig::Aig;
 use sbm_check::{CheckLevel, FaultPlan};
 use sbm_sat::{EquivalenceOracle, MiterOracle, Verdict};
 
+/// The verdict label of a pair that differs on some input.
+pub const MISMATCH: &str = "MISMATCH";
+
 /// Verifies optimization results the way the paper does ("verified with
-/// an industrial formal equivalence checking flow"): SAT miter with a
-/// budget, falling back to random simulation screening on big designs.
+/// an industrial formal equivalence checking flow"): a SAT miter with a
+/// conflict budget on designs of at most `sat_node_limit` ANDs. Returns
+/// `"eq(SAT)"` for a proof and [`MISMATCH`] for a counterexample. Without
+/// a proof — the budget ran out, or the design is too big for the miter
+/// — random simulation screens the pair: `"unproven(sim)"` when it finds
+/// no difference, [`MISMATCH`] when it does.
 pub fn verify_pair(original: &Aig, optimized: &Aig, sat_node_limit: usize) -> &'static str {
-    if original.num_ands().max(optimized.num_ands()) <= sat_node_limit {
-        match MiterOracle::new()
+    let verdict = (original.num_ands().max(optimized.num_ands()) <= sat_node_limit).then(|| {
+        MiterOracle::new()
             .with_conflict_budget(Some(200_000))
             .check(original, optimized)
-        {
-            Verdict::Equivalent => "eq(SAT)",
-            Verdict::Unknown => "eq(sim)", // budget out: fall back below
-            Verdict::Refuted(_) => "MISMATCH",
-        }
-    } else if sim_equal(original, optimized) {
-        "eq(sim)"
-    } else {
-        "MISMATCH"
+    });
+    verdict_label(verdict, original, optimized)
+}
+
+/// The label of [`verify_pair`] for a SAT `verdict` (`None` when the
+/// miter was not run).
+fn verdict_label(verdict: Option<Verdict>, original: &Aig, optimized: &Aig) -> &'static str {
+    match verdict {
+        Some(Verdict::Equivalent) => "eq(SAT)",
+        Some(Verdict::Refuted(_)) => MISMATCH,
+        Some(Verdict::Unknown) | None if sim_equal(original, optimized) => "unproven(sim)",
+        Some(Verdict::Unknown) | None => MISMATCH,
+    }
+}
+
+/// Ends a table binary with [`sbm_metrics::exit::VALIDATION`] when any
+/// row's verdict was [`MISMATCH`]; returns normally otherwise.
+pub fn exit_on_mismatch(verdicts: &[&str]) {
+    let mismatches = verdicts.iter().filter(|&&v| v == MISMATCH).count();
+    if mismatches > 0 {
+        eprintln!("{mismatches} result(s) are NOT equivalent to their input");
+        std::process::exit(sbm_metrics::exit::VALIDATION);
     }
 }
 
@@ -255,4 +275,62 @@ pub fn pct(before: f64, after: f64) -> String {
         return "n/a".to_string();
     }
     format!("{:+.2}%", (after - before) / before * 100.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sbm_aig::Lit;
+
+    /// `(a & b) | c` built twice, once through De Morgan, plus a network
+    /// that differs from both on `a = b = 1, c = 0`.
+    fn pair_and_impostor() -> (Aig, Aig, Aig) {
+        let build = |f: fn(&mut Aig, Lit, Lit, Lit) -> Lit| {
+            let mut aig = Aig::new();
+            let [a, b, c] = [(); 3].map(|()| aig.add_input());
+            let out = f(&mut aig, a, b, c);
+            aig.add_output(out);
+            aig
+        };
+        let original = build(|g, a, b, c| {
+            let ab = g.and(a, b);
+            g.or(ab, c)
+        });
+        let rebuilt = build(|g, a, b, c| {
+            let nab = g.nand(a, b);
+            g.nand(nab, !c)
+        });
+        let impostor = build(|g, a, b, c| {
+            let ab = g.xor(a, b);
+            g.or(ab, c)
+        });
+        (original, rebuilt, impostor)
+    }
+
+    #[test]
+    fn proven_pair_is_eq_sat() {
+        let (original, rebuilt, _) = pair_and_impostor();
+        assert_eq!(verify_pair(&original, &rebuilt, 100), "eq(SAT)");
+    }
+
+    #[test]
+    fn refuted_pair_is_mismatch() {
+        let (original, _, impostor) = pair_and_impostor();
+        assert_eq!(verify_pair(&original, &impostor, 100), MISMATCH);
+    }
+
+    #[test]
+    fn pair_without_proof_is_simulated_never_called_equal() {
+        let (original, rebuilt, impostor) = pair_and_impostor();
+        // Too big for the miter: simulation decides.
+        assert_eq!(verify_pair(&original, &rebuilt, 0), "unproven(sim)");
+        assert_eq!(verify_pair(&original, &impostor, 0), MISMATCH);
+        // A SAT budget-out is simulated the same way.
+        let unknown = Some(Verdict::Unknown);
+        assert_eq!(
+            verdict_label(unknown.clone(), &original, &rebuilt),
+            "unproven(sim)"
+        );
+        assert_eq!(verdict_label(unknown, &original, &impostor), MISMATCH);
+    }
 }

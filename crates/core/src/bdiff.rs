@@ -76,24 +76,9 @@ pub struct BdiffStats {
     pub bailouts: usize,
 }
 
-#[cfg(test)]
-pub(crate) fn boolean_difference_resub_impl(
-    aig: &Aig,
-    options: &BdiffOptions,
-) -> (Aig, BdiffStats) {
-    boolean_difference_resub_budgeted(aig, options, &Budget::unlimited())
-}
-
-pub(crate) fn boolean_difference_resub_budgeted(
-    aig: &Aig,
-    options: &BdiffOptions,
-    budget: &Budget,
-) -> (Aig, BdiffStats) {
-    boolean_difference_resub_filtered(aig, options, budget, None)
-}
-
-/// Like [`boolean_difference_resub_budgeted`], but with signature-based
-/// pair screening: when `sim` is present, a candidate pair whose
+/// Boolean-difference resubstitution under `budget` (an expired budget
+/// stops the pass with the best network so far), with optional
+/// signature-based pair screening: when `sim` is present, a candidate pair whose
 /// difference signature matches no existing window signal and whose
 /// saving cannot cover even a single-node difference network is rejected
 /// before the difference BDD is built. The filter is a sound necessary
@@ -131,25 +116,30 @@ pub(crate) fn boolean_difference_resub_filtered(
         }
         // Alg. 1's all_bdds hashtable: canonical BDD → implementing literal.
         // Leaves and members both participate, so an existing node whose
-        // function equals a difference is reused directly.
+        // function equals a difference is reused directly. Both tables
+        // are filled in window order (the constant, leaves, then
+        // members): when several nodes share a function the first one is
+        // kept, and a walk over the `bdds` map would make that choice
+        // depend on its per-process random hash seed.
+        let ordered: Vec<(NodeId, Bdd)> = std::iter::once(&NodeId::CONST)
+            .chain(&part.leaves)
+            .chain(&part.nodes)
+            .filter_map(|&n| bdds.get(&n).copied().flatten().map(|b| (n, b)))
+            .collect();
         let mut all_bdds: HashMap<Bdd, Lit> = HashMap::new();
         all_bdds.insert(Bdd::ZERO, Lit::FALSE);
         all_bdds.insert(Bdd::ONE, Lit::TRUE);
-        for (&node, &maybe) in &bdds {
-            if let Some(b) = maybe {
-                all_bdds.entry(b).or_insert_with(|| Lit::new(node, false));
-                if let Ok(nb) = mgr.not(b) {
-                    all_bdds.entry(nb).or_insert_with(|| Lit::new(node, true));
-                }
+        for &(node, b) in &ordered {
+            all_bdds.entry(b).or_insert_with(|| Lit::new(node, false));
+            if let Ok(nb) = mgr.not(b) {
+                all_bdds.entry(nb).or_insert_with(|| Lit::new(node, true));
             }
         }
         let leaf_lits: Vec<Lit> = part.leaves.iter().map(|&n| Lit::new(n, false)).collect();
         let mut fanout_counts = work.fanout_counts();
         // Support sets are queried once per candidate pair; cache them.
-        let supports: HashMap<NodeId, Vec<usize>> = bdds
-            .iter()
-            .filter_map(|(&n, &b)| b.map(|b| (n, mgr.support(b))))
-            .collect();
+        let supports: HashMap<NodeId, Vec<usize>> =
+            ordered.iter().map(|&(n, b)| (n, mgr.support(b))).collect();
         // Signatures of every reusable window literal (both phases, plus
         // the constants): a difference can only take the Reuse fast path
         // if its signature appears here.
@@ -424,7 +414,12 @@ mod tests {
     fn rewrites_reconvergent_logic() {
         let aig = reconvergent_pair();
         let before = aig.num_ands();
-        let (optimized, stats) = boolean_difference_resub_impl(&aig, &BdiffOptions::default());
+        let (optimized, stats) = boolean_difference_resub_filtered(
+            &aig,
+            &BdiffOptions::default(),
+            &Budget::unlimited(),
+            None,
+        );
         assert!(optimized.num_ands() <= before, "never worse");
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
@@ -452,7 +447,12 @@ mod tests {
         aig.add_output(g2);
         aig.add_output(f2);
         let before = aig.num_ands();
-        let (optimized, stats) = boolean_difference_resub_impl(&aig, &BdiffOptions::default());
+        let (optimized, stats) = boolean_difference_resub_filtered(
+            &aig,
+            &BdiffOptions::default(),
+            &Budget::unlimited(),
+            None,
+        );
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent
@@ -464,6 +464,45 @@ mod tests {
             optimized.num_ands()
         );
         assert!(stats.pairs_tried > 0);
+    }
+
+    #[test]
+    fn duplicate_functions_rewrite_identically_every_run() {
+        // f2 = (a ⊕ b) ⊕ d while three structurally distinct nodes all
+        // implement d = c & e & h: the difference against g2 = a ⊕ b can
+        // reuse any of them. Every run must pick the same one. Each run
+        // builds its hash maps with a fresh random seed, so an order
+        // taken from a map walk shows up as differing output here.
+        let mut aig = Aig::new();
+        let [a, b, c, e, h] = [(); 5].map(|()| aig.add_input());
+        let g2 = aig.xor(a, b);
+        let ce = aig.and(c, e);
+        let d1 = aig.and(ce, h);
+        let eh = aig.and(e, h);
+        let d2 = aig.and(c, eh);
+        let ch = aig.and(c, h);
+        let d3 = aig.and(ch, e);
+        let t1 = aig.and(a, b);
+        let t2 = aig.nor(a, b);
+        let even2 = aig.or(t1, t2);
+        let f2 = aig.mux(d3, even2, !even2);
+        for out in [g2, d1, d2, f2] {
+            aig.add_output(out);
+        }
+        let run = || {
+            let (optimized, stats) = boolean_difference_resub_filtered(
+                &aig,
+                &BdiffOptions::default(),
+                &Budget::unlimited(),
+                None,
+            );
+            assert!(stats.accepted > 0, "the reuse rewrite must fire");
+            sbm_aig::aiger::write(&optimized)
+        };
+        let first = run();
+        for _ in 0..32 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]
@@ -497,7 +536,12 @@ mod tests {
                 aig.add_output(out);
             }
             let clean = aig.cleanup();
-            let (optimized, _) = boolean_difference_resub_impl(&clean, &BdiffOptions::default());
+            let (optimized, _) = boolean_difference_resub_filtered(
+                &clean,
+                &BdiffOptions::default(),
+                &Budget::unlimited(),
+                None,
+            );
             assert!(optimized.num_ands() <= clean.num_ands());
             assert_eq!(
                 MiterOracle::new().check(&clean, &optimized),

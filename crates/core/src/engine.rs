@@ -4,8 +4,7 @@
 //! [`Engine`] trait: a named pass that maps an AIG to an optimized AIG
 //! plus uniform [`EngineStats`]. The trait is what the parallel pipeline
 //! (see [`crate::pipeline`]) schedules over windows, and what scripts
-//! compose into sequences; engines with budget-aware entry points also
-//! expose `*_budgeted` free functions returning `(Aig, Stats)` pairs.
+//! compose into sequences.
 //!
 //! Engines are `Send + Sync` — a single engine value may be shared by
 //! many worker threads, each running it on a disjoint window.
@@ -128,8 +127,7 @@ impl<'a> EngineCtx<'a> {
 /// Uniform per-engine statistics (the paper's cost/benefit bookkeeping).
 ///
 /// Engines with richer native stats (e.g. [`crate::bdiff::BdiffStats`])
-/// project onto these fields; the native structs remain available through
-/// the `*_budgeted` free functions.
+/// project onto these fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Windows / partitions processed (0 for non-windowed engines).
@@ -203,6 +201,23 @@ pub trait Engine: Send + Sync {
     /// limits here.
     fn reduced_effort(&self) -> Option<Box<dyn Engine>> {
         None
+    }
+}
+
+/// A boxed engine is an engine, so one chosen at runtime (a gradient
+/// move) can go wherever an engine value goes, e.g. into
+/// [`crate::pipeline::pass`].
+impl<E: Engine + ?Sized> Engine for Box<E> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
+        (**self).optimize(aig, ctx)
+    }
+
+    fn reduced_effort(&self) -> Option<Box<dyn Engine>> {
+        (**self).reduced_effort()
     }
 }
 
@@ -618,7 +633,7 @@ mod tests {
     #[test]
     fn engine_names_are_unique() {
         let engines = all_engines();
-        let mut names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
+        let mut names: Vec<&str> = engines.iter().map(Engine::name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), engines.len());

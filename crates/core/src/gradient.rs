@@ -13,13 +13,12 @@ use sbm_aig::Aig;
 use sbm_budget::Budget;
 use sbm_sim::SigService;
 
-use crate::balance::balance;
-use crate::bdiff::{boolean_difference_resub_filtered, BdiffOptions};
-use crate::hetero::{hetero_eliminate_kernel_impl, HeteroOptions};
-use crate::mspf::{mspf_optimize_filtered, MspfOptions};
-use crate::refactor::{refactor_impl, RefactorOptions};
-use crate::resub::{resub_impl, ResubOptions};
-use crate::rewrite::{rewrite_impl, RewriteOptions};
+use crate::engine::{self, Engine, EngineCtx, EngineResult, EngineStats};
+use crate::hetero::HeteroOptions;
+use crate::mspf::MspfOptions;
+use crate::pipeline::pass;
+use crate::refactor::RefactorOptions;
+use crate::resub::ResubOptions;
 
 /// The move set of the gradient engine (paper: "rewriting, refactoring,
 /// resub, mspf resub and eliminate, simplify & kerneling"; all but
@@ -97,157 +96,64 @@ impl Move {
         opts
     }
 
-    /// Applies the move serially, returning the optimized network.
-    pub fn apply(self, aig: &Aig) -> Aig {
-        self.apply_budgeted(aig, 1, &Budget::unlimited()).0
-    }
-
-    /// Applies the move with `num_threads` workers: window-based moves are
-    /// fanned out through the parallel partition executor
-    /// ([`crate::pipeline::parallel_pass`]), and the eliminate/kernel move
-    /// enables its internal threshold-sweep threads. At `num_threads = 1`
-    /// this is exactly [`Move::apply`].
-    pub fn apply_threaded(self, aig: &Aig, num_threads: usize) -> Aig {
-        self.apply_budgeted(aig, num_threads, &Budget::unlimited())
-            .0
-    }
-
-    /// [`Move::apply_threaded`] with a shared [`Budget`]: BDD-backed moves
-    /// observe the deadline/cancellation and stop early, returning the best
-    /// network found so far. Also returns the BDD node-limit bailouts the
-    /// move incurred (always 0 for algebraic moves, which never build
-    /// BDDs), so the gradient engine's ledger covers its inner mspf/bdiff
-    /// invocations.
-    pub(crate) fn apply_budgeted(
-        self,
-        aig: &Aig,
-        num_threads: usize,
-        budget: &Budget,
-    ) -> (Aig, u64) {
-        self.apply_filtered(aig, num_threads, budget, None)
-    }
-
-    /// [`Move::apply_budgeted`] with an optional simulation-signature
-    /// service threaded into the BDD-backed moves (mspf, bdiff) for
-    /// candidate prefiltering.
-    pub(crate) fn apply_filtered(
-        self,
-        aig: &Aig,
-        num_threads: usize,
-        budget: &Budget,
-        sim: Option<&SigService>,
-    ) -> (Aig, u64) {
-        // With the signature service active the move runs on the calling
-        // thread, monolithically, at *every* thread count: the windowed
-        // fan-out produces different (weaker, window-clipped) BDD moves
-        // and different filter counters than the monolithic pass, so
-        // routing by thread count would make both the result and the
-        // sim-filter tallies depend on `num_threads`. Parallelism still
-        // comes from the script's own windowed steps.
-        if num_threads > 1 && sim.is_none() {
-            return self.apply_parallel_budgeted(aig, num_threads, budget, sim);
-        }
+    /// The move as an [`Engine`].
+    fn engine(self) -> Box<dyn Engine> {
         match self {
-            Move::Balance => (balance(aig), 0),
-            Move::Rewrite => (rewrite_impl(aig, &RewriteOptions::default()).0, 0),
-            Move::Refactor { high_effort } => (
-                refactor_impl(aig, &Move::refactor_options(high_effort)).0,
-                0,
-            ),
-            Move::Resub { high_effort } => {
-                (resub_impl(aig, &Move::resub_options(high_effort)).0, 0)
-            }
-            Move::MspfResub { high_effort } => {
-                let (aig, stats) =
-                    mspf_optimize_filtered(aig, &Move::mspf_options(high_effort), budget, sim);
-                (aig, stats.bailouts as u64)
-            }
-            Move::EliminateKernel { high_effort } => (
-                hetero_eliminate_kernel_impl(aig, &Move::hetero_options(high_effort)).0,
-                0,
-            ),
-            Move::BooleanDifference => {
-                let (aig, stats) =
-                    boolean_difference_resub_filtered(aig, &BdiffOptions::default(), budget, sim);
-                (aig, stats.bailouts as u64)
-            }
+            Move::Balance => Box::new(engine::Balance),
+            Move::Rewrite => Box::new(engine::Rewrite::default()),
+            Move::Refactor { high_effort } => Box::new(engine::Refactor {
+                options: Move::refactor_options(high_effort),
+            }),
+            Move::Resub { high_effort } => Box::new(engine::Resub {
+                options: Move::resub_options(high_effort),
+            }),
+            Move::MspfResub { high_effort } => Box::new(engine::Mspf {
+                options: Move::mspf_options(high_effort),
+            }),
+            Move::EliminateKernel { high_effort } => Box::new(engine::Hetero {
+                options: Move::hetero_options(high_effort),
+            }),
+            Move::BooleanDifference => Box::new(engine::Bdiff::default()),
         }
     }
 
-    fn apply_parallel_budgeted(
-        self,
-        aig: &Aig,
-        num_threads: usize,
-        budget: &Budget,
-        sim: Option<&SigService>,
-    ) -> (Aig, u64) {
-        use crate::engine;
-        use crate::pipeline::parallel_pass_filtered;
-        fn split(run: crate::engine::Optimized<crate::pipeline::PipelineReport>) -> (Aig, u64) {
-            let bailouts = run
-                .stats
-                .engines
-                .iter()
-                .map(|(_, s)| s.bailouts as u64)
-                .sum();
-            // The inner report is discarded here — note its BDD/SAT/sim
-            // tallies back into this thread's accumulators so the work
-            // still surfaces in the scheduler's enclosing scope.
-            crate::bdd_bridge::note_bdd_tally(&run.stats.bdd);
-            sbm_sat::note_sat_tally(&run.stats.sat);
-            sbm_sim::note_sim_tally(&run.stats.sim);
-            (run.aig, bailouts)
+    /// Applies the move under `ctx`. With more than one thread and no
+    /// simulation service, window-based moves fan out through the
+    /// parallel partition executor ([`pass`]); otherwise the move runs
+    /// monolithically on the calling thread. Balancing and the
+    /// eliminate/kernel move never fan out (the latter sweeps its
+    /// thresholds on internal threads instead).
+    ///
+    /// With the signature service active the move stays monolithic at
+    /// *every* thread count: the windowed fan-out produces different
+    /// (weaker, window-clipped) BDD moves and different filter counters
+    /// than the monolithic pass, so routing by thread count would make
+    /// both the result and the sim-filter tallies depend on the thread
+    /// count. Parallelism still comes from the script's own windowed
+    /// steps.
+    ///
+    /// The result's [`EngineStats::bailouts`] counts the BDD node-limit
+    /// bailouts of the mspf/bdiff moves (always 0 for algebraic moves),
+    /// so the gradient engine's ledger covers its inner invocations.
+    pub fn apply(self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
+        let windowed = !matches!(self, Move::Balance | Move::EliminateKernel { .. });
+        if !windowed || ctx.num_threads() <= 1 || ctx.sim().is_some() {
+            return self.engine().optimize(aig, ctx);
         }
-        match self {
-            Move::Balance => (balance(aig), 0),
-            Move::Rewrite => split(parallel_pass_filtered(
-                aig,
-                num_threads,
-                budget,
-                sim,
-                engine::Rewrite::default(),
-            )),
-            Move::Refactor { high_effort } => split(parallel_pass_filtered(
-                aig,
-                num_threads,
-                budget,
-                sim,
-                engine::Refactor {
-                    options: Move::refactor_options(high_effort),
-                },
-            )),
-            Move::Resub { high_effort } => split(parallel_pass_filtered(
-                aig,
-                num_threads,
-                budget,
-                sim,
-                engine::Resub {
-                    options: Move::resub_options(high_effort),
-                },
-            )),
-            Move::MspfResub { high_effort } => split(parallel_pass_filtered(
-                aig,
-                num_threads,
-                budget,
-                sim,
-                engine::Mspf {
-                    options: Move::mspf_options(high_effort),
-                },
-            )),
-            Move::EliminateKernel { high_effort } => {
-                let mut opts = Move::hetero_options(high_effort);
-                // Hetero's parallelism is an internal threshold sweep, not
-                // window fan-out; keep it tied to the actual thread count.
-                opts.parallel = num_threads > 1;
-                (hetero_eliminate_kernel_impl(aig, &opts).0, 0)
-            }
-            Move::BooleanDifference => split(parallel_pass_filtered(
-                aig,
-                num_threads,
-                budget,
-                sim,
-                engine::Bdiff::default(),
-            )),
+        let run = pass(aig, self.engine(), ctx);
+        // The inner report is discarded here — note its BDD/SAT/sim
+        // tallies back into this thread's accumulators so the work still
+        // surfaces in the scheduler's enclosing scope.
+        crate::bdd_bridge::note_bdd_tally(&run.stats.bdd);
+        sbm_sat::note_sat_tally(&run.stats.sat);
+        sbm_sim::note_sim_tally(&run.stats.sim);
+        let mut stats = EngineStats::default();
+        for (_, s) in &run.stats.engines {
+            stats.merge(s);
+        }
+        EngineResult {
+            aig: run.aig,
+            stats,
         }
     }
 }
@@ -297,7 +203,7 @@ pub struct GradientOptions {
     /// Move selection policy.
     pub selection: Selection,
     /// Worker threads for move application (1 = strictly serial); see
-    /// [`Move::apply_threaded`].
+    /// [`Move::apply`].
     pub num_threads: usize,
 }
 
@@ -368,6 +274,9 @@ pub(crate) fn gradient_optimize_filtered(
     // The cost tier currently unlocked: cheap moves first (paper: "the
     // optimization engine starts by trying unit cost moves").
     let mut unlocked_cost = 1u32;
+    let ctx = EngineCtx::new(budget)
+        .with_threads(options.num_threads)
+        .with_sim(sim);
 
     while spent < cost_budget {
         // The wall-clock budget overrides the cost budget: a deadline or
@@ -409,14 +318,17 @@ pub(crate) fn gradient_optimize_filtered(
             if budget.check().is_err() {
                 break;
             }
-            let (result, bailouts) = mv.apply_filtered(&current, options.num_threads, budget, sim);
+            let EngineResult {
+                aig: result,
+                stats: move_stats,
+            } = mv.apply(&current, &ctx);
             spent += mv.cost();
             let gain = size_before.saturating_sub(result.num_ands());
             let Some((_, rec)) = stats.records.iter_mut().find(|(mm, _)| *mm == mv) else {
                 unreachable!("stats tracks a record for every move");
             };
             rec.tried += 1;
-            rec.bailouts += bailouts;
+            rec.bailouts += move_stats.bailouts as u64;
             if gain > 0 {
                 rec.succeeded += 1;
                 rec.total_gain += gain as u64;

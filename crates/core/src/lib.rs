@@ -18,8 +18,9 @@
 //!
 //! The top-level entry points live in [`script`]: [`script::resyn2rs`]
 //! (the ABC-style baseline the paper compares against) and
-//! [`script::sbm_script`] (the paper's Boolean resynthesis flow,
-//! Section V-A).
+//! [`script::sbm_script_report`] (the paper's Boolean resynthesis flow,
+//! Section V-A). A single engine runs over a whole network through
+//! [`pipeline::pass`], which fans its windows out over worker threads.
 //!
 //! Every entry point can run in *checked mode*
 //! ([`CheckLevel::Boundaries`] or [`CheckLevel::Paranoid`], via
@@ -31,24 +32,24 @@
 //! ([`engine::CheckViolation`]).
 //!
 //! Execution is fault-tolerant: a wall-clock deadline or cancellation
-//! ([`sbm_budget::Budget`], via [`pipeline::PipelineOptions::deadline`] /
+//! ([`sbm_budget::Budget`], via [`pipeline::PipelineOptions::budget`] /
 //! [`script::SbmOptions::deadline`]) stops engines cooperatively, window
 //! panics are caught and degraded to the original sub-network, failed
 //! attempts are retried once at reduced effort, and everything is tallied
 //! in [`pipeline::FaultSummary`]. Deterministic fault injection
 //! ([`sbm_check::FaultPlan`]) exercises every one of those paths in tests.
 //!
-//! Runs are also crash-safe: with [`pipeline::CheckpointOptions`] /
-//! [`script::SbmOptions::checkpoint_dir`] set, progress is persisted to a
-//! CRC-checked snapshot plus write-ahead window journal (`sbm_journal`),
-//! and [`pipeline::Pipeline::resume`] / [`script::sbm_script_resumable`]
-//! pick an interrupted run up where it left off.
+//! Script runs are also crash-safe: with
+//! [`script::SbmOptions::checkpoint_dir`] set, the network after each
+//! script step is persisted as a CRC-checked snapshot (`sbm_journal`),
+//! and [`script::sbm_script_resumable`] picks an interrupted run up at
+//! the last recorded step.
 //!
 //! # Example
 //!
 //! ```
 //! use sbm_aig::Aig;
-//! use sbm_core::script::{sbm_script, SbmOptions};
+//! use sbm_core::script::{sbm_script_report, SbmOptions};
 //!
 //! let mut aig = Aig::new();
 //! let a = aig.add_input();
@@ -59,7 +60,7 @@
 //! let abc = aig.and(ab, c);
 //! let f = aig.or(ab, abc);
 //! aig.add_output(f);
-//! let optimized = sbm_script(&aig, &SbmOptions::default());
+//! let optimized = sbm_script_report(&aig, &SbmOptions::default()).aig;
 //! assert!(optimized.num_ands() <= aig.num_ands());
 //! ```
 

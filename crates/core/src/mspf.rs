@@ -135,11 +135,6 @@ fn roots_with_node_var(
     part.roots.iter().map(|r| bdds.get(r).copied()).collect()
 }
 
-#[cfg(test)]
-pub(crate) fn mspf_optimize_impl(aig: &Aig, options: &MspfOptions) -> (Aig, MspfStats) {
-    mspf_optimize_budgeted(aig, options, &Budget::unlimited())
-}
-
 /// Counts `error` as a node-limit bailout; budget interruptions are a
 /// "stop working" signal, not a per-node failure, and are excluded so
 /// `MspfStats::bailouts` stays exact under deadlines.
@@ -149,16 +144,9 @@ fn count_bailout(stats: &mut MspfStats, error: BddError) {
     }
 }
 
-pub(crate) fn mspf_optimize_budgeted(
-    aig: &Aig,
-    options: &MspfOptions,
-    budget: &Budget,
-) -> (Aig, MspfStats) {
-    mspf_optimize_filtered(aig, options, budget, None)
-}
-
-/// Like [`mspf_optimize_budgeted`], but with signature-based candidate
-/// filtering: when `sim` is present, every node's replacement candidates
+/// MSPF-based redundancy removal under `budget` (an expired budget stops
+/// the pass with the best network so far), with optional signature-based
+/// candidate filtering: when `sim` is present, every node's replacement candidates
 /// are screened against the shared simulation signatures under a
 /// simulated observability care mask *before* the expensive BDD
 /// cofactoring — a node none of whose candidates survive skips its MSPF
@@ -366,7 +354,8 @@ mod tests {
         let g = aig.and(x, a);
         aig.add_output(g);
         let before = aig.num_ands();
-        let (optimized, stats) = mspf_optimize_impl(&aig, &MspfOptions::default());
+        let (optimized, stats) =
+            mspf_optimize_filtered(&aig, &MspfOptions::default(), &Budget::unlimited(), None);
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent
@@ -385,7 +374,8 @@ mod tests {
         let b = aig.add_input();
         let f = aig.and(a, b);
         aig.add_output(f);
-        let (optimized, _) = mspf_optimize_impl(&aig, &MspfOptions::default());
+        let (optimized, _) =
+            mspf_optimize_filtered(&aig, &MspfOptions::default(), &Budget::unlimited(), None);
         assert_eq!(optimized.num_ands(), 1);
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
@@ -404,7 +394,8 @@ mod tests {
         let g = aig.or(x, c);
         aig.add_output(f);
         aig.add_output(g);
-        let (optimized, _) = mspf_optimize_impl(&aig, &MspfOptions::default());
+        let (optimized, _) =
+            mspf_optimize_filtered(&aig, &MspfOptions::default(), &Budget::unlimited(), None);
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent

@@ -26,7 +26,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -36,11 +35,7 @@ use sbm_aig::{Aig, Lit, NodeId};
 use sbm_bdd::BddTally;
 use sbm_budget::Budget;
 use sbm_check::{check_aig, inject_panic, sim_spot_check, CheckLevel, FaultKind, FaultPlan};
-use sbm_journal::{
-    decode_aig, encode_aig, read_aig_snapshot, read_journal, write_aig_snapshot, FaultRecord,
-    Fnv64, InjectedFaultRecord, JournalError, JournalWriter, ReadMode, RecordOutcome,
-    ResumeSummary, WindowRecord, JOURNAL_FILE, SNAPSHOT_FILE,
-};
+use sbm_journal::ResumeSummary;
 use sbm_metrics::{
     BddCounters, EngineFaultCounters, EngineReport, FaultReport, Histogram, PhaseMicros,
     ResumeReport, RunReport, SatCounters, SimFilterCounters, Timer, WindowReport,
@@ -76,26 +71,17 @@ pub struct PipelineOptions {
     /// [`PipelineReport::check_violations`]; a violating rewrite is
     /// discarded, never stitched.
     pub check_level: CheckLevel,
-    /// Wall-clock deadline of the whole run (`None` = unbounded). An
-    /// expired deadline never aborts the run: engines stop cooperatively,
-    /// in-flight windows degrade to their original sub-network, and the
-    /// pipeline stitches whatever completed in time.
-    pub deadline: Option<Duration>,
-    /// Externally shared [`Budget`]. When set (not
-    /// [`Budget::is_unlimited`]) it takes precedence over [`deadline`],
-    /// so a caller can cancel or deadline several passes as one unit.
-    ///
-    /// [`deadline`]: PipelineOptions::deadline
+    /// Wall-clock deadline and cancellation of the run, shared with the
+    /// caller so several passes can be cancelled or deadlined as one unit
+    /// (see [`Budget::with_deadline`]). An expired budget never aborts the
+    /// run: engines stop cooperatively, in-flight windows degrade to their
+    /// original sub-network, and the pipeline stitches whatever completed
+    /// in time.
     pub budget: Budget,
     /// Deterministic fault-injection plan for robustness testing
     /// (`None` = no injection, the production default). See
     /// [`sbm_check::FaultPlan`].
     pub fault_plan: Option<FaultPlan>,
-    /// Crash-safe checkpointing (`None` = off). When set, [`Pipeline::run`]
-    /// snapshots the cleaned input and journals every completed window to
-    /// the checkpoint directory, and [`Pipeline::resume`] can restart an
-    /// interrupted run from there.
-    pub checkpoint: Option<CheckpointOptions>,
     /// Shared simulation-signature service (`None` = no filtering).
     /// When set, engines that support it filter resubstitution
     /// candidates by signature before any BDD/SAT work, the window
@@ -109,29 +95,6 @@ pub struct PipelineOptions {
     pub sim: Option<SigService>,
 }
 
-/// Where and how often a pipeline run persists its progress.
-#[derive(Debug, Clone)]
-pub struct CheckpointOptions {
-    /// Directory holding the snapshot and write-ahead journal. Created on
-    /// demand; a fresh [`Pipeline::run`] overwrites any previous
-    /// checkpoint in it.
-    pub dir: PathBuf,
-    /// fsync cadence in window records: `1` (the default) makes every
-    /// record durable before the next append, larger values amortize the
-    /// sync cost and risk losing at most that many trailing records.
-    pub every: usize,
-}
-
-impl CheckpointOptions {
-    /// Checkpointing into `dir` with the always-durable cadence of 1.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        CheckpointOptions {
-            dir: dir.into(),
-            every: 1,
-        }
-    }
-}
-
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
@@ -141,10 +104,8 @@ impl Default for PipelineOptions {
             verify_windows: true,
             conflict_budget: 10_000,
             check_level: CheckLevel::Off,
-            deadline: None,
             budget: Budget::unlimited(),
             fault_plan: None,
-            checkpoint: None,
             sim: None,
         }
     }
@@ -334,13 +295,12 @@ pub struct PipelineReport {
     /// retries and degraded windows, per engine. All-zero
     /// ([`FaultSummary::is_zero`]) on a healthy run.
     pub fault: FaultSummary,
-    /// Resume bookkeeping: set only by [`Pipeline::resume`], accounting
-    /// every window of the resumed run exactly once (replayed from the
-    /// journal or re-run).
+    /// Resume bookkeeping: set only by a script run resumed from its
+    /// state snapshot (`script::sbm_script_resumable`).
     pub resume: Option<ResumeSummary>,
-    /// First checkpoint I/O failure of the run, if any. Checkpointing is
-    /// best-effort during a run: a full disk degrades durability, never
-    /// the optimization result.
+    /// First checkpoint I/O failure of the script run, if any.
+    /// Checkpointing is best-effort: a full disk degrades durability,
+    /// never the optimization result.
     pub checkpoint_error: Option<String>,
 }
 
@@ -487,11 +447,6 @@ impl PipelineReport {
                     .collect(),
             },
             resume: self.resume.as_ref().map(|r| ResumeReport {
-                records_replayed: r.records_replayed as u64,
-                torn_dropped: r.torn_dropped as u64,
-                stale_dropped: r.stale_dropped as u64,
-                windows_replayed: r.windows_replayed as u64,
-                windows_rerun: r.windows_rerun as u64,
                 steps_skipped: r.steps_skipped as u64,
             }),
             checkpoint_error: self.checkpoint_error.clone(),
@@ -664,17 +619,11 @@ impl Pipeline {
 
     /// The configured engine names, in chain order.
     pub fn engine_names(&self) -> Vec<&str> {
-        self.engines.iter().map(|e| e.name()).collect()
+        self.engines.iter().map(Engine::name).collect()
     }
 
     /// Runs the extract → optimize → stitch pipeline. The result is never
     /// larger than the input and identical for every `num_threads`.
-    ///
-    /// With [`PipelineOptions::checkpoint`] set, the run snapshots its
-    /// cleaned input and journals every completed window so an
-    /// interrupted process can pick up with [`Pipeline::resume`].
-    /// Checkpoint I/O failures never abort the run; the first one is
-    /// reported in [`PipelineReport::checkpoint_error`].
     pub fn run(&self, aig: &Aig) -> Optimized<PipelineReport> {
         let total_timer = Timer::start();
         let mut report = PipelineReport::default();
@@ -699,160 +648,7 @@ impl Pipeline {
             }
         }
         let work = aig.cleanup();
-
-        let journal = match &self.options.checkpoint {
-            Some(ck) => match self.init_checkpoint(&work, ck) {
-                Ok(state) => Some(state),
-                Err(e) => {
-                    report.checkpoint_error = Some(e.to_string());
-                    None
-                }
-            },
-            None => None,
-        };
-        self.execute(aig, work, report, journal, HashMap::new(), total_timer)
-    }
-
-    /// Resumes an interrupted checkpointed run.
-    ///
-    /// Reads the snapshot from the configured checkpoint directory,
-    /// validates it with `sbm-check` (structural + simulation, inside
-    /// [`read_aig_snapshot`]), reads the journal leniently — dropping and
-    /// truncating any torn tail record — and re-enters the pipeline:
-    /// windows with a valid record are replayed without running engines,
-    /// the rest run as usual and are appended to the same journal. Under
-    /// the same seed and [`FaultPlan`] the result is functionally
-    /// identical to an uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::NotConfigured`] without
-    /// [`PipelineOptions::checkpoint`]; [`JournalError::BadCrc`] /
-    /// [`JournalError::VersionMismatch`] / [`JournalError::TornTail`] /
-    /// [`JournalError::BadMagic`] on a corrupted snapshot or journal;
-    /// [`JournalError::ConfigMismatch`] when the checkpoint was written
-    /// under a different engine/option configuration. A structurally
-    /// invalid network is never returned.
-    pub fn resume(&self) -> Result<Optimized<PipelineReport>, JournalError> {
-        let ck = self
-            .options
-            .checkpoint
-            .as_ref()
-            .ok_or(JournalError::NotConfigured)?;
-        let total_timer = Timer::start();
-        let fingerprint = self.config_fingerprint();
-        let (work, meta) = read_aig_snapshot(&ck.dir.join(SNAPSHOT_FILE))?;
-        if meta.fingerprint != fingerprint {
-            return Err(JournalError::ConfigMismatch {
-                expected: fingerprint,
-                found: meta.fingerprint,
-            });
-        }
-        let journal_path = ck.dir.join(JOURNAL_FILE);
-        let readout = read_journal(&journal_path, ReadMode::Lenient)?;
-        if readout.fingerprint != fingerprint {
-            return Err(JournalError::ConfigMismatch {
-                expected: fingerprint,
-                found: readout.fingerprint,
-            });
-        }
-        let writer = JournalWriter::open_append(
-            &journal_path,
-            fingerprint,
-            ck.every,
-            readout.valid_len,
-            readout.records.len() as u64,
-        )?;
-        let mut replay: HashMap<usize, WindowRecord> = HashMap::new();
-        for record in readout.records {
-            // Later records win: a window re-run after an earlier resume
-            // appends a fresh record behind its stale one.
-            replay.insert(record.window as usize, record);
-        }
-        let report = PipelineReport {
-            resume: Some(ResumeSummary {
-                records_replayed: replay.len(),
-                torn_dropped: readout.torn_dropped,
-                ..ResumeSummary::default()
-            }),
-            ..PipelineReport::default()
-        };
-        // The snapshot is already cleaned and validated; `execute`
-        // re-partitions it deterministically, so records keyed by window
-        // index line up with the original run's windows.
-        let baseline = work.clone();
-        Ok(self.execute(
-            &baseline,
-            work,
-            report,
-            Some(JournalState::new(writer)),
-            replay,
-            total_timer,
-        ))
-    }
-
-    /// The configuration fingerprint stamped into snapshots and journal
-    /// headers: a hash of everything that must match for a checkpoint to
-    /// be resumable — engine chain, partitioning, gating and fault plan.
-    /// Thread count, deadline and budget are deliberately excluded: they
-    /// change timing, not results, so a resume may use different ones.
-    pub fn config_fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_str("sbm-pipeline-v2");
-        for engine in &self.engines {
-            h.write_str(engine.name());
-        }
-        let o = &self.options;
-        h.write_u64(o.partition.max_nodes as u64);
-        h.write_u64(o.partition.max_inputs as u64);
-        h.write_u64(o.partition.max_levels as u64);
-        h.write_u64(o.min_window as u64);
-        h.write_u64(u64::from(o.verify_windows));
-        h.write_u64(o.conflict_budget);
-        h.write_u64(o.check_level as u64);
-        h.write_u64(u64::from(o.sim.is_some()));
-        match &o.fault_plan {
-            None => h.write_u64(0),
-            Some(plan) => {
-                h.write_u64(1);
-                h.write_u64(plan.seed);
-                h.write_u64(plan.panic_rate.to_bits());
-                h.write_u64(plan.delay_rate.to_bits());
-                h.write_u64(plan.bailout_rate.to_bits());
-            }
-        }
-        h.finish()
-    }
-
-    /// Fresh-run checkpoint setup: create the directory, snapshot the
-    /// cleaned input atomically, start a new journal.
-    fn init_checkpoint(
-        &self,
-        work: &Aig,
-        ck: &CheckpointOptions,
-    ) -> Result<JournalState, JournalError> {
-        sbm_journal::ensure_dir(&ck.dir)?;
-        let fingerprint = self.config_fingerprint();
-        write_aig_snapshot(&ck.dir.join(SNAPSHOT_FILE), work, fingerprint, 0)?;
-        let writer = JournalWriter::create(&ck.dir.join(JOURNAL_FILE), fingerprint, ck.every)?;
-        Ok(JournalState::new(writer))
-    }
-
-    /// The shared body of [`Pipeline::run`] and [`Pipeline::resume`]:
-    /// `work` must already be cleaned (and, for resume, id-identical to
-    /// the snapshotted network so partitioning reproduces the original
-    /// windows).
-    fn execute(
-        &self,
-        baseline: &Aig,
-        work: Aig,
-        mut report: PipelineReport,
-        journal: Option<JournalState>,
-        mut replay: HashMap<usize, WindowRecord>,
-        total_timer: Timer,
-    ) -> Optimized<PipelineReport> {
         let mut counters = WindowCounters::default();
-        let aig = baseline;
 
         // Phase 1: extract windows.
         let extract_timer = Timer::start();
@@ -874,57 +670,10 @@ impl Pipeline {
         }
         report.extract_wall = extract_timer.stop();
 
-        // Replay journal records onto their windows before any engine
-        // runs: a record whose pre-hash matches the freshly extracted
-        // sub-network (and whose rewrite, if any, passes hash, decode and
-        // simulation re-validation) stands in for the whole engine chain.
-        // Everything else — stale records, hash mismatches, windows past
-        // the interruption point — is re-run.
-        let mut prefilled: Vec<Option<WindowOutcome>> = Vec::with_capacity(jobs.len());
-        let mut replayed = 0usize;
-        let mut stale = 0usize;
-        for (part_idx, sub) in &jobs {
-            match replay.remove(part_idx) {
-                Some(record) => match self.replay_record(sub, &record) {
-                    Some(outcome) => {
-                        prefilled.push(Some(outcome));
-                        replayed += 1;
-                    }
-                    None => {
-                        prefilled.push(None);
-                        stale += 1;
-                    }
-                },
-                None => prefilled.push(None),
-            }
-        }
-        // Records that matched no window at all (e.g. the window fell
-        // under `min_window` after an options change that escaped the
-        // fingerprint) are stale too.
-        stale += replay.len();
-        if let Some(resume) = report.resume.as_mut() {
-            resume.windows_replayed = replayed;
-            resume.stale_dropped = stale;
-            resume.windows_rerun = jobs.len() - replayed;
-        }
-
         // Phase 2: optimize windows on the worker pool, under the shared
-        // wall-clock budget. An explicit budget wins; otherwise one is
-        // derived from the deadline option (starting now, so extraction
-        // time counts against it only through the caller's clock).
-        let budget = if self.options.budget.is_unlimited() {
-            Budget::from_deadline(self.options.deadline)
-        } else {
-            self.options.budget.clone()
-        };
+        // wall-clock budget.
         let optimize_timer = Timer::start();
-        let outcomes = self.optimize_windows(&jobs, &budget, prefilled, journal.as_ref());
-        // The final checkpoint: make everything journaled so far durable
-        // before stitching — on budget expiry this is the state a
-        // subsequent `resume` picks up from.
-        if let Some(journal) = &journal {
-            journal.flush();
-        }
+        let outcomes = self.optimize_windows(&jobs);
         report.optimize_wall = optimize_timer.stop();
 
         // Phase 3: stitch accepted rewrites back, serially and in window
@@ -1017,11 +766,6 @@ impl Pipeline {
                 report.fault.counts_mut(name).bailouts += stats.bailouts;
             }
         }
-        if let Some(journal) = journal {
-            if report.checkpoint_error.is_none() {
-                report.checkpoint_error = journal.take_error();
-            }
-        }
         report.total_wall = total_timer.stop();
 
         // Never-worse guard at the network level.
@@ -1039,37 +783,19 @@ impl Pipeline {
     }
 
     /// Runs every job through the engine chain; outcome `i` belongs to
-    /// job `i` whichever thread processed it. Slots prefilled with a
-    /// replayed outcome are left untouched; freshly computed outcomes are
-    /// appended to the journal as soon as they exist, so a crash after
-    /// this point loses nothing that completed.
-    fn optimize_windows(
-        &self,
-        jobs: &[(usize, Aig)],
-        budget: &Budget,
-        prefilled: Vec<Option<WindowOutcome>>,
-        journal: Option<&JournalState>,
-    ) -> Vec<WindowOutcome> {
+    /// job `i` whichever thread processed it.
+    fn optimize_windows(&self, jobs: &[(usize, Aig)]) -> Vec<WindowOutcome> {
+        let budget = &self.options.budget;
         let threads = self.options.num_threads.max(1).min(jobs.len().max(1));
         if threads <= 1 {
             return jobs
                 .iter()
-                .zip(prefilled)
-                .map(|((part_idx, sub), pre)| match pre {
-                    Some(outcome) => outcome,
-                    None => {
-                        let outcome = self.optimize_window_isolated(sub, *part_idx, budget);
-                        if let Some(journal) = journal {
-                            self.journal_outcome(journal, *part_idx, sub, &outcome);
-                        }
-                        outcome
-                    }
-                })
+                .map(|(part_idx, sub)| self.optimize_window_isolated(sub, *part_idx, budget))
                 .collect();
         }
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<WindowOutcome>>> =
-            prefilled.into_iter().map(Mutex::new).collect();
+            jobs.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| loop {
@@ -1077,17 +803,7 @@ impl Pipeline {
                     let Some((part_idx, sub)) = jobs.get(i) else {
                         break;
                     };
-                    if slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .is_some()
-                    {
-                        continue;
-                    }
                     let outcome = self.optimize_window_isolated(sub, *part_idx, budget);
-                    if let Some(journal) = journal {
-                        self.journal_outcome(journal, *part_idx, sub, &outcome);
-                    }
                     // Workers never unwind (optimize_window_isolated
                     // catches and degrades), so the lock cannot be
                     // poisoned by a sibling; into_inner keeps the write
@@ -1392,247 +1108,6 @@ impl Pipeline {
             }
         }
     }
-
-    /// Reconstructs a [`WindowOutcome`] from a journal record, or `None`
-    /// when the record is stale: the window's pre-hash changed, the
-    /// rewrite payload fails its hash, its id-exact decode, or the
-    /// 64-pattern simulation check against the freshly extracted
-    /// sub-network. A stale record simply re-runs — replay never stitches
-    /// anything it cannot re-validate.
-    fn replay_record(&self, sub: &Aig, record: &WindowRecord) -> Option<WindowOutcome> {
-        let pre_hash = fnv_hash(&encode_aig(sub).ok()?);
-        if record.pre_hash != pre_hash {
-            return None;
-        }
-        let fault = fault_from_record(&record.fault)?;
-        let (rewrite, gate_rejected) = match &record.outcome {
-            RecordOutcome::Unchanged | RecordOutcome::Degraded => (None, false),
-            RecordOutcome::GateRejected => (None, true),
-            RecordOutcome::Improved(bytes) => {
-                if fnv_hash(bytes) != record.post_hash {
-                    return None;
-                }
-                let rewrite = decode_aig(bytes).ok()?;
-                if rewrite.num_ands() >= sub.num_ands()
-                    || sim_spot_check(sub, &rewrite, SPOT_CHECK_SEED).is_err()
-                {
-                    return None;
-                }
-                (Some(rewrite), false)
-            }
-        };
-        Some(WindowOutcome {
-            rewrite,
-            gate_rejected,
-            per_engine: vec![EngineStats::default(); self.engines.len()],
-            latency: vec![Histogram::default(); self.engines.len()],
-            // A replayed window runs no engines, so it contributes no
-            // BDD/SAT work: resumed runs legitimately report lower
-            // tallies than the uninterrupted original.
-            bdd: BddTally::default(),
-            sat: SatTally::default(),
-            sim: SimTally::default(),
-            violations: Vec::new(),
-            fault,
-        })
-    }
-
-    /// Appends the durable record of a freshly computed window outcome.
-    /// Deadline-hit windows are deliberately *not* recorded: their
-    /// degradation is a timing artifact, and resume must re-run them to
-    /// match what an uninterrupted run would have produced.
-    fn journal_outcome(
-        &self,
-        journal: &JournalState,
-        part_idx: usize,
-        sub: &Aig,
-        outcome: &WindowOutcome,
-    ) {
-        if outcome.fault.total(|c| c.deadline_hits) > 0 {
-            return;
-        }
-        let Ok(pre_bytes) = encode_aig(sub) else {
-            return;
-        };
-        let pre_hash = fnv_hash(&pre_bytes);
-        let (rec_outcome, post_hash, gain) = if outcome.gate_rejected {
-            (RecordOutcome::GateRejected, pre_hash, 0)
-        } else if let Some(rewrite) = &outcome.rewrite {
-            // Engines return graphs with private replacement state; the
-            // journal stores the cleaned, canonical form. Emission walks
-            // the same live cone either way, so stitching the cleaned
-            // rewrite reproduces the identical spliced network.
-            let cleaned = rewrite.cleanup();
-            let Ok(bytes) = encode_aig(&cleaned) else {
-                return;
-            };
-            let gain = sub.num_ands() as i64 - cleaned.num_ands() as i64;
-            let post_hash = fnv_hash(&bytes);
-            (RecordOutcome::Improved(bytes), post_hash, gain)
-        } else if outcome.fault.degraded_windows > 0 {
-            (RecordOutcome::Degraded, pre_hash, 0)
-        } else {
-            (RecordOutcome::Unchanged, pre_hash, 0)
-        };
-        journal.append(&WindowRecord {
-            window: part_idx as u64,
-            outcome: rec_outcome,
-            pre_hash,
-            post_hash,
-            gain,
-            fault: fault_to_record(&outcome.fault),
-        });
-    }
-}
-
-/// Shared journal appender: workers append concurrently behind a mutex;
-/// the first I/O failure disables further appends and is surfaced as
-/// [`PipelineReport::checkpoint_error`] instead of aborting the run.
-struct JournalState {
-    writer: Mutex<JournalWriter>,
-    error: Mutex<Option<String>>,
-}
-
-impl JournalState {
-    fn new(writer: JournalWriter) -> Self {
-        JournalState {
-            writer: Mutex::new(writer),
-            error: Mutex::new(None),
-        }
-    }
-
-    fn append(&self, record: &WindowRecord) {
-        let mut error = self
-            .error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if error.is_some() {
-            return;
-        }
-        let result = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .append(record);
-        if let Err(e) = result {
-            *error = Some(e.to_string());
-        }
-    }
-
-    fn flush(&self) {
-        let mut error = self
-            .error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if error.is_some() {
-            return;
-        }
-        let result = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .flush();
-        if let Err(e) = result {
-            *error = Some(e.to_string());
-        }
-    }
-
-    fn take_error(&self) -> Option<String> {
-        self.error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-    }
-}
-
-fn fnv_hash(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
-
-fn fault_kind_tag(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::Panic => 0,
-        FaultKind::Delay => 1,
-        FaultKind::Bailout => 2,
-    }
-}
-
-fn fault_kind_from_tag(tag: u8) -> Option<FaultKind> {
-    match tag {
-        0 => Some(FaultKind::Panic),
-        1 => Some(FaultKind::Delay),
-        2 => Some(FaultKind::Bailout),
-        _ => None,
-    }
-}
-
-/// Serializes a window's [`FaultSummary`] slice into the journal's
-/// crate-independent mirror type.
-fn fault_to_record(fault: &FaultSummary) -> FaultRecord {
-    FaultRecord {
-        per_engine: fault
-            .per_engine
-            .iter()
-            .map(|(name, c)| {
-                (
-                    name.clone(),
-                    [
-                        c.panics as u64,
-                        c.deadline_hits as u64,
-                        c.bailouts as u64,
-                        c.injected_bailouts as u64,
-                        c.delays as u64,
-                        c.retries as u64,
-                        c.retry_successes as u64,
-                    ],
-                )
-            })
-            .collect(),
-        degraded: fault.degraded_windows as u64,
-        injected: fault
-            .injected
-            .iter()
-            .map(|f| InjectedFaultRecord {
-                engine: f.engine.clone(),
-                window: f.window as u64,
-                attempt: f.attempt,
-                kind: fault_kind_tag(f.kind),
-            })
-            .collect(),
-    }
-}
-
-/// Rehydrates a [`FaultSummary`] from its journal mirror; `None` on an
-/// unknown fault-kind tag (a corrupt or future-format record — the
-/// window re-runs instead).
-fn fault_from_record(record: &FaultRecord) -> Option<FaultSummary> {
-    let mut fault = FaultSummary {
-        per_engine: Vec::new(),
-        degraded_windows: usize::try_from(record.degraded).ok()?,
-        injected: Vec::new(),
-    };
-    for (name, c) in &record.per_engine {
-        *fault.counts_mut(name) = FaultCounts {
-            panics: usize::try_from(c[0]).ok()?,
-            deadline_hits: usize::try_from(c[1]).ok()?,
-            bailouts: usize::try_from(c[2]).ok()?,
-            injected_bailouts: usize::try_from(c[3]).ok()?,
-            delays: usize::try_from(c[4]).ok()?,
-            retries: usize::try_from(c[5]).ok()?,
-            retry_successes: usize::try_from(c[6]).ok()?,
-        };
-    }
-    for f in &record.injected {
-        fault.injected.push(InjectedFault {
-            engine: f.engine.clone(),
-            window: usize::try_from(f.window).ok()?,
-            attempt: f.attempt,
-            kind: fault_kind_from_tag(f.kind)?,
-        });
-    }
-    Some(fault)
 }
 
 /// Outcome of one isolated engine invocation.
@@ -1648,83 +1123,28 @@ enum Invocation {
 }
 
 /// Runs a single engine over the whole network through the parallel
-/// executor, discarding the report. The window limits are sized for
-/// full-strength engine passes (each window is re-partitioned by the
-/// engine's own options); callers needing the [`PipelineReport`] should
-/// build a [`Pipeline`] directly.
-pub fn parallel_pass(aig: &Aig, num_threads: usize, engine: impl Engine + 'static) -> Aig {
-    let run = parallel_pass_report(aig, num_threads, engine);
-    // The discarded report carried the run's drained BDD/SAT/sim
-    // tallies: note them back into this thread's accumulators so they
-    // surface in whatever measurement scope encloses this pass.
-    note_bdd_tally(&run.stats.bdd);
-    note_sat_tally(&run.stats.sat);
-    note_sim_tally(&run.stats.sim);
-    run.aig
-}
-
-/// [`parallel_pass`], keeping the report.
-pub fn parallel_pass_report(
+/// executor. Every setting of the run comes from `ctx`: worker threads,
+/// check level, budget, fault plan and simulation service. The window
+/// limits are sized for full-strength engine passes (each window is
+/// re-partitioned by the engine's own options).
+pub fn pass(
     aig: &Aig,
-    num_threads: usize,
     engine: impl Engine + 'static,
-) -> Optimized<PipelineReport> {
-    parallel_pass_checked(aig, num_threads, CheckLevel::Off, engine)
-}
-
-/// [`parallel_pass_report`] with an explicit invariant-checking level —
-/// the entry point used by the checked script mode
-/// ([`crate::script::SbmOptions::check_level`]).
-pub fn parallel_pass_checked(
-    aig: &Aig,
-    num_threads: usize,
-    check_level: CheckLevel,
-    engine: impl Engine + 'static,
+    ctx: &EngineCtx<'_>,
 ) -> Optimized<PipelineReport> {
     let options = PipelineOptions {
-        num_threads,
-        check_level,
+        num_threads: ctx.num_threads(),
+        check_level: ctx.check_level(),
+        budget: ctx.budget().clone(),
+        fault_plan: ctx.fault_plan().copied(),
+        sim: ctx.sim().cloned(),
         ..pass_options()
     };
     Pipeline::new(options).with_engine(engine).run(aig)
 }
 
-/// [`parallel_pass_report`] under a shared wall-clock [`Budget`] — the
-/// entry point the gradient engine uses for its threaded moves, so a
-/// deadline set on the outer run reaches every inner pass.
-pub fn parallel_pass_budgeted(
-    aig: &Aig,
-    num_threads: usize,
-    budget: &Budget,
-    engine: impl Engine + 'static,
-) -> Optimized<PipelineReport> {
-    parallel_pass_filtered(aig, num_threads, budget, None, engine)
-}
-
-/// [`parallel_pass_budgeted`] with the caller's shared [`SigService`]
-/// threaded through to every inner engine invocation and the window
-/// gate — the entry point the gradient engine uses so one service spans
-/// an entire script run, nested moves included.
-pub fn parallel_pass_filtered(
-    aig: &Aig,
-    num_threads: usize,
-    budget: &Budget,
-    sim: Option<&SigService>,
-    engine: impl Engine + 'static,
-) -> Optimized<PipelineReport> {
-    let options = PipelineOptions {
-        num_threads,
-        budget: budget.clone(),
-        sim: sim.cloned(),
-        ..pass_options()
-    };
-    Pipeline::new(options).with_engine(engine).run(aig)
-}
-
-/// Window limits shared by the `parallel_pass*` helpers, sized for
-/// full-strength engine passes (each window is re-partitioned by the
-/// engine's own options).
-pub(crate) fn pass_options() -> PipelineOptions {
+/// Window limits of [`pass`].
+fn pass_options() -> PipelineOptions {
     PipelineOptions {
         partition: PartitionOptions {
             max_nodes: 300,
@@ -2160,7 +1580,7 @@ mod tests {
                 max_inputs: 10,
                 max_levels: 12,
             },
-            deadline: Some(Duration::ZERO),
+            budget: Budget::with_deadline(Duration::ZERO),
             ..PipelineOptions::default()
         };
         let run = Pipeline::new(options)
@@ -2279,261 +1699,5 @@ mod tests {
         degraded.sort_unstable();
         degraded.dedup();
         assert_eq!(fault.degraded_windows, degraded.len(), "degraded windows");
-    }
-
-    fn checkpoint_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("sbm-pipeline-ck-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn checkpointed_pipeline(num_threads: usize, dir: &std::path::Path) -> Pipeline {
-        let options = PipelineOptions {
-            num_threads,
-            partition: PartitionOptions {
-                max_nodes: 30,
-                max_inputs: 10,
-                max_levels: 12,
-            },
-            checkpoint: Some(CheckpointOptions::new(dir)),
-            ..PipelineOptions::default()
-        };
-        Pipeline::new(options)
-            .with_engine(Rewrite::default())
-            .with_engine(Refactor::default())
-            .with_engine(Resub::default())
-    }
-
-    #[test]
-    fn checkpointed_run_matches_plain_run_and_leaves_valid_files() {
-        let aig = test_aig(42);
-        let dir = checkpoint_dir("plain");
-        let plain = small_window_pipeline(1).run(&aig);
-        let run = checkpointed_pipeline(1, &dir).run(&aig);
-        assert_eq!(run.stats.checkpoint_error, None);
-        assert_eq!(run.aig.num_ands(), plain.aig.num_ands());
-        assert!(equivalent(&plain.aig, &run.aig));
-        // The snapshot holds the cleaned input, not the result.
-        let (snap, meta) = read_aig_snapshot(&dir.join(SNAPSHOT_FILE)).expect("snapshot");
-        assert_eq!(snap.num_ands(), aig.cleanup().num_ands());
-        assert_eq!(
-            meta.fingerprint,
-            checkpointed_pipeline(1, &dir).config_fingerprint()
-        );
-        // Every processed (non-deadline) window has exactly one record.
-        let readout = read_journal(&dir.join(JOURNAL_FILE), ReadMode::Strict).expect("journal");
-        assert_eq!(
-            readout.records.len(),
-            run.stats.windows_total - run.stats.windows_skipped
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_of_completed_run_replays_everything_and_matches() {
-        let aig = test_aig(7);
-        let dir = checkpoint_dir("complete");
-        let full = checkpointed_pipeline(1, &dir).run(&aig);
-        let resumed = checkpointed_pipeline(1, &dir).resume().expect("resume");
-        let summary = resumed.stats.resume.expect("summary");
-        assert_eq!(summary.windows_rerun, 0, "{summary}");
-        assert_eq!(summary.stale_dropped, 0, "{summary}");
-        assert_eq!(
-            summary.windows_replayed,
-            full.stats.windows_total - full.stats.windows_skipped
-        );
-        assert_eq!(resumed.aig.num_ands(), full.aig.num_ands());
-        assert!(equivalent(&full.aig, &resumed.aig));
-        assert!(resumed.stats.is_consistent(), "{:?}", resumed.stats);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_reruns_windows_missing_from_a_truncated_journal() {
-        let aig = test_aig(13);
-        let dir = checkpoint_dir("truncated");
-        let full = checkpointed_pipeline(1, &dir).run(&aig);
-        // Drop the trailing half of the journal's records, then garble the
-        // new tail — lenient resume must truncate and re-run the missing
-        // windows, converging on the uninterrupted result.
-        let path = dir.join(JOURNAL_FILE);
-        let readout = read_journal(&path, ReadMode::Strict).expect("journal");
-        assert!(readout.records.len() >= 2, "need multiple windows");
-        let mut frames = Vec::new();
-        let bytes = std::fs::read(&path).expect("read journal");
-        let mut off = 20; // header
-        while off < bytes.len() {
-            let len =
-                u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]])
-                    as usize;
-            let end = off + 8 + len;
-            frames.push(off..end);
-            off = end;
-        }
-        let keep = frames.len() / 2;
-        let mut cut = bytes[..frames[keep].start].to_vec();
-        cut.extend_from_slice(&[0xAB; 5]); // torn tail
-        std::fs::write(&path, &cut).expect("truncate journal");
-        let resumed = checkpointed_pipeline(1, &dir).resume().expect("resume");
-        let summary = resumed.stats.resume.expect("summary");
-        assert_eq!(summary.records_replayed, keep);
-        assert_eq!(summary.torn_dropped, 1);
-        assert!(summary.windows_rerun > 0, "{summary}");
-        assert_eq!(resumed.aig.num_ands(), full.aig.num_ands());
-        assert!(equivalent(&full.aig, &resumed.aig));
-        // The resumed run appended fresh records for the re-run windows:
-        // a second resume replays everything again.
-        let again = checkpointed_pipeline(1, &dir)
-            .resume()
-            .expect("resume again");
-        assert_eq!(again.stats.resume.expect("summary").windows_rerun, 0);
-        assert_eq!(again.aig.num_ands(), full.aig.num_ands());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_across_thread_counts_matches_serial() {
-        let aig = test_aig(77);
-        let dir = checkpoint_dir("threads");
-        let full = checkpointed_pipeline(1, &dir).run(&aig);
-        for threads in [2, 4] {
-            let resumed = checkpointed_pipeline(threads, &dir)
-                .resume()
-                .expect("resume");
-            assert_eq!(resumed.aig.num_ands(), full.aig.num_ands());
-            assert!(equivalent(&full.aig, &resumed.aig));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_rejects_configuration_drift_with_typed_error() {
-        let aig = test_aig(3);
-        let dir = checkpoint_dir("drift");
-        checkpointed_pipeline(1, &dir).run(&aig);
-        // Same checkpoint, different engine chain.
-        let options = PipelineOptions {
-            checkpoint: Some(CheckpointOptions::new(&dir)),
-            ..PipelineOptions::default()
-        };
-        let err = Pipeline::new(options)
-            .with_engine(Rewrite::default())
-            .resume()
-            .expect_err("config drift");
-        assert!(
-            matches!(err, JournalError::ConfigMismatch { .. }),
-            "{err:?}"
-        );
-        // No checkpoint configured at all.
-        let err = small_window_pipeline(1).resume().expect_err("unconfigured");
-        assert!(matches!(err, JournalError::NotConfigured), "{err:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_surfaces_file_corruption_as_typed_errors() {
-        let aig = test_aig(11);
-        let dir = checkpoint_dir("corrupt");
-        checkpointed_pipeline(1, &dir).run(&aig);
-        let snap_path = dir.join(SNAPSHOT_FILE);
-        let pristine = std::fs::read(&snap_path).expect("read snapshot");
-
-        // Flipped payload byte: CRC failure, never a bogus network.
-        let mut bytes = pristine.clone();
-        bytes[40] ^= 0xFF;
-        std::fs::write(&snap_path, &bytes).expect("write");
-        let err = checkpointed_pipeline(1, &dir).resume().expect_err("crc");
-        assert!(
-            matches!(
-                err,
-                JournalError::BadCrc {
-                    context: "snapshot"
-                }
-            ),
-            "{err:?}"
-        );
-
-        // Flipped version byte: reported as a version problem.
-        let mut bytes = pristine.clone();
-        bytes[8] ^= 0xFF;
-        std::fs::write(&snap_path, &bytes).expect("write");
-        let err = checkpointed_pipeline(1, &dir)
-            .resume()
-            .expect_err("version");
-        assert!(
-            matches!(err, JournalError::VersionMismatch { .. }),
-            "{err:?}"
-        );
-
-        // Truncated snapshot: torn tail.
-        std::fs::write(&snap_path, &pristine[..pristine.len() / 2]).expect("write");
-        let err = checkpointed_pipeline(1, &dir).resume().expect_err("torn");
-        assert!(matches!(err, JournalError::TornTail), "{err:?}");
-
-        // Restore the snapshot, then corrupt a NON-final journal frame:
-        // that is damage, not a torn append, so even the lenient resume
-        // read refuses it.
-        std::fs::write(&snap_path, &pristine).expect("write");
-        let wal_path = dir.join(JOURNAL_FILE);
-        let mut wal = std::fs::read(&wal_path).expect("read journal");
-        assert!(wal.len() > 40, "journal too small to corrupt mid-file");
-        wal[29] ^= 0xFF; // inside the first frame's payload
-        std::fs::write(&wal_path, &wal).expect("write");
-        let err = checkpointed_pipeline(1, &dir)
-            .resume()
-            .expect_err("wal crc");
-        assert!(
-            matches!(
-                err,
-                JournalError::BadCrc {
-                    context: "journal record"
-                }
-            ),
-            "{err:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpointed_fault_injected_run_resumes_equivalent() {
-        let aig = test_aig(21);
-        let dir = checkpoint_dir("faults");
-        let plan = FaultPlan {
-            seed: 0xFEED,
-            panic_rate: 0.3,
-            delay_rate: 0.2,
-            bailout_rate: 0.3,
-            delay: Duration::from_millis(1),
-        };
-        let make = |dir: &std::path::Path| {
-            let options = PipelineOptions {
-                partition: PartitionOptions {
-                    max_nodes: 30,
-                    max_inputs: 10,
-                    max_levels: 12,
-                },
-                fault_plan: Some(plan),
-                checkpoint: Some(CheckpointOptions::new(dir)),
-                ..PipelineOptions::default()
-            };
-            Pipeline::new(options)
-                .with_engine(Rewrite::default())
-                .with_engine(Refactor::default())
-                .with_engine(Resub::default())
-        };
-        let full = make(&dir).run(&aig);
-        assert_eq!(full.stats.checkpoint_error, None);
-        let resumed = make(&dir).resume().expect("resume");
-        assert_eq!(resumed.aig.num_ands(), full.aig.num_ands());
-        assert!(equivalent(&full.aig, &resumed.aig));
-        // Replayed fault slices reconstruct the same ledger and the same
-        // degraded-window count as the original run.
-        assert_eq!(resumed.stats.fault.injected, full.stats.fault.injected);
-        assert_eq!(
-            resumed.stats.fault.degraded_windows,
-            full.stats.fault.degraded_windows
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,8 +3,8 @@
 //! [`resyn2rs`] reproduces the composition of ABC's popular `resyn2rs`
 //! script ("one of the most popular AIG scripts in academia", Section
 //! IV-A) from this repository's own moves — it is the baseline the
-//! paper's results are measured against. [`sbm_script`] is the paper's
-//! Boolean resynthesis script (Section V-A): baseline AIG optimization +
+//! paper's results are measured against. [`sbm_script_report`] runs the
+//! paper's Boolean resynthesis script (Section V-A): baseline AIG optimization +
 //! the four SBM engines + SAT sweeping and redundancy removal, iterated
 //! twice with different efforts.
 
@@ -24,17 +24,16 @@ use sbm_sat::sweep::{sweep, sweep_collect, SweepOptions};
 use sbm_sim::SigService;
 
 use crate::balance::balance;
-use crate::bdiff::{boolean_difference_resub_budgeted, BdiffOptions};
+use crate::bdiff::BdiffOptions;
 use crate::engine::{
     self, run_checked, CheckViolation, Engine, EngineCtx, Optimized, SPOT_CHECK_SEED,
 };
 use crate::gradient::{gradient_optimize_filtered, GradientOptions};
 use crate::hetero::{hetero_eliminate_kernel_impl, HeteroOptions};
-use crate::mspf::{mspf_optimize_budgeted, MspfOptions};
-use crate::pipeline::{pass_options, Pipeline, PipelineOptions, PipelineReport};
-use crate::refactor::{refactor_impl, RefactorOptions};
-use crate::resub::{resub_impl, ResubOptions};
-use crate::rewrite::{rewrite_impl, RewriteOptions};
+use crate::mspf::MspfOptions;
+use crate::pipeline::{pass, PipelineReport};
+use crate::refactor::RefactorOptions;
+use crate::resub::ResubOptions;
 
 /// Banks the calling thread's drained BDD/SAT/sim tallies into `report`.
 /// Called after every script step: a later step's attribution boundary
@@ -163,8 +162,8 @@ struct StepCtx<'a> {
     budget: Budget,
     fault_plan: Option<FaultPlan>,
     ckpt: Option<ScriptCkpt>,
-    /// Checkpoint-save observer (see [`ReportSink`]); `None` outside the
-    /// `_observed` entry points.
+    /// Checkpoint-save observer (see [`ReportSink`]); `None` unless the
+    /// caller passed one.
     report_sink: Option<ReportSink<'a>>,
     /// Shared simulation-signature service of the run (`None` when
     /// [`SbmOptions::sim_filter`] is off). Clones of the handle share one
@@ -310,12 +309,12 @@ fn resub_opts(max_inputs: usize) -> ResubOptions {
     }
 }
 
-/// One engine step of a threaded script: serial call at one thread, fanned
-/// out through the parallel partition executor otherwise. The pipeline's
-/// report (including any check violations) is accumulated into `report`.
-/// At serial `Paranoid` the engine runs through [`run_checked`] instead of
-/// the bare serial closure — the two compute the same transformation, the
-/// wrapper just brackets it with invariant checks.
+/// One engine step of a threaded script: the engine runs once over the
+/// whole network at one thread, and through the parallel partition
+/// executor ([`pass`]) otherwise, accumulating the pipeline's report
+/// (including any check violations) into `report`. At serial `Paranoid`
+/// the engine runs through [`run_checked`], which brackets the same
+/// transformation with invariant checks.
 ///
 /// A configured fault plan or an active simulation service forces the
 /// pipeline path even at one thread: injection hooks live in the
@@ -328,27 +327,22 @@ fn step(
     ctx: &StepCtx<'_>,
     report: &mut PipelineReport,
     engine: impl Engine + 'static,
-    serial: impl FnOnce(&Aig) -> Aig,
 ) -> Aig {
+    let ectx = EngineCtx::new(&ctx.budget)
+        .with_threads(threads)
+        .with_check_level(check)
+        .with_fault_plan(ctx.fault_plan.as_ref())
+        .with_sim(ctx.sim.as_ref());
     if threads > 1 || ctx.fault_plan.is_some() || ctx.sim.is_some() {
-        let options = PipelineOptions {
-            num_threads: threads,
-            check_level: check,
-            budget: ctx.budget.clone(),
-            fault_plan: ctx.fault_plan,
-            sim: ctx.sim.clone(),
-            ..pass_options()
-        };
-        let run = Pipeline::new(options).with_engine(engine).run(&aig);
+        let run = pass(&aig, engine, &ectx);
         report.merge(&run.stats);
         guarded(aig, |_| run.aig)
     } else if check.per_engine() {
-        let ectx = EngineCtx::new(&ctx.budget).with_check_level(check);
         let (result, violations) = run_checked(&engine, &aig, &ectx, None);
         report.check_violations.extend(violations);
         guarded(aig, |_| result.aig)
     } else {
-        guarded(aig, serial)
+        guarded(aig, |a| engine.optimize(a, &ectx).aig)
     }
 }
 
@@ -365,10 +359,14 @@ fn resyn2rs_threaded(
     let rs = |k: usize| engine::Resub {
         options: resub_opts(k),
     };
+    let deep_refactor = engine::Refactor {
+        options: RefactorOptions {
+            max_support: 14,
+            ..Default::default()
+        },
+    };
     cur = checked_guarded(cur, check, report, "balance", balance);
-    cur = step(cur, num_threads, check, ctx, report, rs(6), |a| {
-        resub_impl(a, &resub_opts(6)).0
-    });
+    cur = step(cur, num_threads, check, ctx, report, rs(6));
     cur = step(
         cur,
         num_threads,
@@ -376,11 +374,8 @@ fn resyn2rs_threaded(
         ctx,
         report,
         engine::Rewrite::default(),
-        |a| rewrite_impl(a, &RewriteOptions::default()).0,
     );
-    cur = step(cur, num_threads, check, ctx, report, rs(8), |a| {
-        resub_impl(a, &resub_opts(8)).0
-    });
+    cur = step(cur, num_threads, check, ctx, report, rs(8));
     cur = step(
         cur,
         num_threads,
@@ -388,15 +383,10 @@ fn resyn2rs_threaded(
         ctx,
         report,
         engine::Refactor::default(),
-        |a| refactor_impl(a, &RefactorOptions::default()).0,
     );
-    cur = step(cur, num_threads, check, ctx, report, rs(10), |a| {
-        resub_impl(a, &resub_opts(10)).0
-    });
+    cur = step(cur, num_threads, check, ctx, report, rs(10));
     cur = checked_guarded(cur, check, report, "balance", balance);
-    cur = step(cur, num_threads, check, ctx, report, rs(12), |a| {
-        resub_impl(a, &resub_opts(12)).0
-    });
+    cur = step(cur, num_threads, check, ctx, report, rs(12));
     cur = step(
         cur,
         num_threads,
@@ -404,23 +394,8 @@ fn resyn2rs_threaded(
         ctx,
         report,
         engine::Rewrite::default(),
-        |a| rewrite_impl(a, &RewriteOptions::default()).0,
     );
-    let deep_refactor = RefactorOptions {
-        max_support: 14,
-        ..Default::default()
-    };
-    cur = step(
-        cur,
-        num_threads,
-        check,
-        ctx,
-        report,
-        engine::Refactor {
-            options: deep_refactor,
-        },
-        |a| refactor_impl(a, &deep_refactor).0,
-    );
+    cur = step(cur, num_threads, check, ctx, report, deep_refactor);
     cur = checked_guarded(cur, check, report, "balance", balance);
     cur.cleanup()
 }
@@ -767,51 +742,31 @@ impl SbmOptionsBuilder {
 /// 6. SAT-based sweeping and redundancy removal,
 ///
 /// iterated (twice by default) with the network re-strashed into an AIG
-/// between steps.
+/// between steps. Returns the optimized network with the merged
+/// [`PipelineReport`] of every engine pass. (With `num_threads = 1` and
+/// [`SbmOptions::sim_filter`] off, the window counters are all zero:
+/// nothing enters the pipeline.)
 ///
 /// At `num_threads > 1` the window-based steps run on the parallel
-/// partition executor ([`crate::pipeline`]); the serial code path is
-/// preserved exactly at `num_threads = 1`.
-pub fn sbm_script(aig: &Aig, options: &SbmOptions) -> Aig {
-    sbm_script_report(aig, options).aig
-}
-
-/// [`sbm_script`], also returning the merged [`PipelineReport`] of every
-/// engine pass. (With `num_threads = 1` and [`SbmOptions::sim_filter`]
-/// off, the window counters are all zero: nothing enters the pipeline.)
-/// With [`SbmOptions::checkpoint_dir`] set, the run
-/// additionally persists step-grained progress; checkpoint I/O failures
-/// are best-effort (reported, never fatal).
+/// partition executor ([`crate::pipeline`]). With
+/// [`SbmOptions::checkpoint_dir`] set, the run additionally persists
+/// step-grained progress; checkpoint I/O failures are best-effort
+/// (reported, never fatal).
 pub fn sbm_script_report(aig: &Aig, options: &SbmOptions) -> Optimized<PipelineReport> {
-    script_body(aig, options, None, None, None, PipelineReport::default())
+    let budget = Budget::from_deadline(options.deadline);
+    script_body(aig, options, budget, None, None, PipelineReport::default())
 }
 
 /// [`sbm_script_report`] under an externally owned [`Budget`] instead of
-/// one derived from [`SbmOptions::deadline`] (which is ignored here).
-/// This is the job-server entry point: the caller keeps a handle on the
-/// budget, so it can preempt the run cooperatively ([`Budget::cancel`])
-/// or bound it with a slice sub-budget ([`Budget::child`]) while the
-/// script persists checkpoints as usual — a preempted run is parked, not
-/// lost.
-pub fn sbm_script_budgeted(
-    aig: &Aig,
-    options: &SbmOptions,
-    budget: &Budget,
-) -> Optimized<PipelineReport> {
-    script_body(
-        aig,
-        options,
-        Some(budget.clone()),
-        None,
-        None,
-        PipelineReport::default(),
-    )
-}
-
-/// [`sbm_script_budgeted`] with a checkpoint-save observer: `sink` is
-/// fired after every step whose snapshot was persisted, with the report
-/// accumulated up to exactly that step (see [`ReportSink`]). Without a
-/// configured [`SbmOptions::checkpoint_dir`] the sink never fires.
+/// one derived from [`SbmOptions::deadline`] (which is ignored here),
+/// with a checkpoint-save observer. This is the job-server entry point:
+/// the caller keeps a handle on the budget, so it can preempt the run
+/// cooperatively ([`Budget::cancel`]) or bound it with a slice
+/// sub-budget ([`Budget::child`]) while the script persists checkpoints
+/// as usual — a preempted run is parked, not lost. `sink` is fired after
+/// every step whose snapshot was persisted, with the report accumulated
+/// up to exactly that step (see [`ReportSink`]); without a configured
+/// [`SbmOptions::checkpoint_dir`] it never fires.
 pub fn sbm_script_budgeted_observed(
     aig: &Aig,
     options: &SbmOptions,
@@ -821,7 +776,7 @@ pub fn sbm_script_budgeted_observed(
     script_body(
         aig,
         options,
-        Some(budget.clone()),
+        budget.clone(),
         None,
         Some(sink),
         PipelineReport::default(),
@@ -829,47 +784,22 @@ pub fn sbm_script_budgeted_observed(
 }
 
 /// Resumes an interrupted checkpointed script run from
-/// [`SbmOptions::checkpoint_dir`]: the last recorded snapshot is
-/// validated (CRC + `sbm-check`), the steps it covers are skipped, and
-/// the remaining steps run to completion. The options must match the
-/// interrupted run's ([`JournalError::ConfigMismatch`] otherwise).
+/// [`SbmOptions::checkpoint_dir`]. An external `budget` replaces the one
+/// derived from [`SbmOptions::deadline`], and `sink` observes every newly
+/// persisted snapshot, as in [`sbm_script_budgeted_observed`]. The last
+/// recorded snapshot is validated (CRC + `sbm-check`), the steps it
+/// covers are skipped, and the remaining steps run to completion. The
+/// options must match the interrupted run's
+/// ([`JournalError::ConfigMismatch`] otherwise). A resume that is a pure
+/// replay persists no new snapshots and fires no sinks.
 ///
 /// Falls back cleanly: callers that cannot resume (corrupt or missing
-/// checkpoint) typically retry with [`sbm_script_report`], which starts
-/// fresh and overwrites the checkpoint.
+/// checkpoint) typically retry with a fresh run, which overwrites the
+/// checkpoint.
 pub fn sbm_script_resumable(
     aig: &Aig,
     options: &SbmOptions,
-) -> Result<Optimized<PipelineReport>, JournalError> {
-    sbm_script_resumable_inner(aig, options, None, None)
-}
-
-/// [`sbm_script_resumable`] under an externally owned [`Budget`] (see
-/// [`sbm_script_budgeted`]); [`SbmOptions::deadline`] is ignored.
-pub fn sbm_script_resumable_budgeted(
-    aig: &Aig,
-    options: &SbmOptions,
-    budget: &Budget,
-) -> Result<Optimized<PipelineReport>, JournalError> {
-    sbm_script_resumable_inner(aig, options, Some(budget.clone()), None)
-}
-
-/// [`sbm_script_resumable_budgeted`] with a checkpoint-save observer
-/// (see [`sbm_script_budgeted_observed`] and [`ReportSink`]). A resume
-/// that is a pure replay persists no new snapshots and fires no sinks.
-pub fn sbm_script_resumable_budgeted_observed(
-    aig: &Aig,
-    options: &SbmOptions,
-    budget: &Budget,
-    sink: ReportSink<'_>,
-) -> Result<Optimized<PipelineReport>, JournalError> {
-    sbm_script_resumable_inner(aig, options, Some(budget.clone()), Some(sink))
-}
-
-fn sbm_script_resumable_inner(
-    aig: &Aig,
-    options: &SbmOptions,
-    budget: Option<Budget>,
+    budget: Option<&Budget>,
     sink: Option<ReportSink<'_>>,
 ) -> Result<Optimized<PipelineReport>, JournalError> {
     let dir = options
@@ -897,10 +827,10 @@ fn sbm_script_resumable_inner(
     let report = PipelineReport {
         resume: Some(ResumeSummary {
             steps_skipped: meta.seq as usize,
-            ..ResumeSummary::default()
         }),
         ..PipelineReport::default()
     };
+    let budget = budget.map_or_else(|| Budget::from_deadline(options.deadline), Budget::clone);
     Ok(script_body(
         aig,
         options,
@@ -956,14 +886,12 @@ pub fn script_fingerprint(options: &SbmOptions) -> u64 {
     h.finish()
 }
 
-/// The shared body of [`sbm_script_report`] (fresh, `resume = None`) and
-/// [`sbm_script_resumable`] (resuming from a loaded snapshot). An
-/// external `budget` (the `*_budgeted` entry points) replaces the one
-/// derived from [`SbmOptions::deadline`].
+/// The shared body of the fresh entry points (`resume = None`) and
+/// [`sbm_script_resumable`] (resuming from a loaded snapshot).
 fn script_body(
     aig: &Aig,
     options: &SbmOptions,
-    budget: Option<Budget>,
+    budget: Budget,
     resume: Option<(ScriptCkpt, Aig)>,
     sink: Option<ReportSink<'_>>,
     mut report: PipelineReport,
@@ -1016,7 +944,7 @@ fn script_body(
     // One budget governs the whole run: every engine step, inner pass and
     // SAT gate below shares it, so the deadline bounds the run end to end.
     let ctx = StepCtx {
-        budget: budget.unwrap_or_else(|| Budget::from_deadline(options.deadline)),
+        budget,
         fault_plan: options.fault_plan,
         ckpt,
         report_sink: sink,
@@ -1070,7 +998,6 @@ fn script_body(
                 engine::Mspf {
                     options: options.mspf,
                 },
-                |a| mspf_optimize_budgeted(a, &options.mspf, &ctx.budget).0,
             )
         });
         bank_tallies(&mut report, &ctx);
@@ -1090,7 +1017,6 @@ fn script_body(
                 engine::Refactor {
                     options: refactor_options,
                 },
-                |a| refactor_impl(a, &refactor_options).0,
             )
         });
         bank_tallies(&mut report, &ctx);
@@ -1106,7 +1032,6 @@ fn script_body(
                 engine::Bdiff {
                     options: options.bdiff,
                 },
-                |a| boolean_difference_resub_budgeted(a, &options.bdiff, &ctx.budget).0,
             )
         });
         bank_tallies(&mut report, &ctx);
@@ -1250,7 +1175,7 @@ mod tests {
     fn sbm_script_at_least_as_good_as_baseline() {
         let aig = benchmark_aig();
         let baseline = resyn2rs_fixpoint(&aig, 8);
-        let sbm = sbm_script(&aig, &SbmOptions::default());
+        let sbm = sbm_script_report(&aig, &SbmOptions::default()).aig;
         assert!(sbm.num_ands() <= baseline.num_ands());
         assert!(proven_equivalent(&aig, &sbm));
     }
@@ -1374,7 +1299,7 @@ mod tests {
         assert_eq!(full.aig.num_ands(), plain.aig.num_ands());
         // Resuming a finished run replays the final snapshot: every step
         // is skipped and the loaded network is returned as-is.
-        let resumed = sbm_script_resumable(&aig, &options).expect("resume");
+        let resumed = sbm_script_resumable(&aig, &options, None, None).expect("resume");
         let summary = resumed.stats.resume.expect("summary");
         assert_eq!(summary.steps_skipped, 8, "one iteration = 8 script steps");
         assert_eq!(resumed.aig.num_ands(), full.aig.num_ands());
@@ -1392,7 +1317,7 @@ mod tests {
             0,
         )
         .expect("roll back to step 0");
-        let restarted = sbm_script_resumable(&aig, &options).expect("resume from 0");
+        let restarted = sbm_script_resumable(&aig, &options, None, None).expect("resume from 0");
         assert_eq!(restarted.stats.resume.expect("summary").steps_skipped, 0);
         assert_eq!(restarted.aig.num_ands(), full.aig.num_ands());
         assert!(proven_equivalent(&net, &restarted.aig));
@@ -1401,20 +1326,32 @@ mod tests {
 
     #[test]
     fn budgeted_canonical_run_parks_and_resumes_byte_identically() {
-        // The job-server execution model: a run under a cancellable slice
-        // budget is preempted at an arbitrary point, parked as its last
-        // clean checkpoint, and later resumed under a fresh budget. With
-        // canonical_steps on, the resumed run must converge on a result
-        // byte-identical to an uninterrupted run of the same options.
-        let dir = std::env::temp_dir().join(format!("sbm-script-park-{}", std::process::id()));
-        let ref_dir =
-            std::env::temp_dir().join(format!("sbm-script-parkref-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&ref_dir);
+        for threads in [1, 2, 4] {
+            park_and_resume_byte_identically(threads);
+        }
+    }
+
+    /// The job-server execution model: a run under a cancellable slice
+    /// budget is preempted at an arbitrary point, parked as its last
+    /// clean checkpoint, and later resumed under a fresh budget. With
+    /// canonical_steps on, the resumed run must converge on a result
+    /// byte-identical to an uninterrupted run of the same options.
+    fn park_and_resume_byte_identically(threads: usize) {
+        let tmp = |tag: &str| {
+            let dir = std::env::temp_dir().join(format!(
+                "sbm-script-{tag}-t{threads}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        };
+        let dir = tmp("park");
+        let ref_dir = tmp("parkref");
         let aig = benchmark_aig();
         let mk = |d: &Path| {
             SbmOptions::builder()
                 .iterations(1)
+                .num_threads(threads)
                 .checkpoint_dir(Some(d.to_path_buf()))
                 .canonical_steps(true)
                 .build()
@@ -1433,20 +1370,27 @@ mod tests {
             std::thread::sleep(Duration::from_millis(15));
             canceller.cancel();
         });
-        let parked = sbm_script_budgeted(&aig, &options, &slice);
+        let parked = sbm_script_budgeted_observed(&aig, &options, &slice, ReportSink(&|_| {}));
         handle.join().expect("canceller");
         // The preempted result may be degraded; the server discards it.
         drop(parked);
 
         // Slice 2: resume with an open-ended budget and run to the end.
-        let resumed = sbm_script_resumable_budgeted(&aig, &options, &Budget::unlimited())
+        let resumed = sbm_script_resumable(&aig, &options, None, None)
             .expect("resume from parked checkpoint");
-        assert_eq!(sbm_aig::aiger::write(&resumed.aig), ref_text);
+        assert_eq!(
+            sbm_aig::aiger::write(&resumed.aig),
+            ref_text,
+            "threads {threads}"
+        );
 
         // A third resume replays the finished snapshot, still identical.
-        let replayed = sbm_script_resumable_budgeted(&aig, &options, &Budget::unlimited())
-            .expect("pure replay");
-        assert_eq!(sbm_aig::aiger::write(&replayed.aig), ref_text);
+        let replayed = sbm_script_resumable(&aig, &options, None, None).expect("pure replay");
+        assert_eq!(
+            sbm_aig::aiger::write(&replayed.aig),
+            ref_text,
+            "threads {threads}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&ref_dir);
     }
@@ -1489,13 +1433,8 @@ mod tests {
                 sbm_metrics::RunReport::from_json(json).expect("sink report decodes");
             }
         }
-        let replay = sbm_script_resumable_budgeted_observed(
-            &aig,
-            &options,
-            &Budget::unlimited(),
-            ReportSink(&observer),
-        )
-        .expect("pure replay");
+        let replay = sbm_script_resumable(&aig, &options, None, Some(ReportSink(&observer)))
+            .expect("pure replay");
         assert_eq!(replay.stats.resume.expect("summary").steps_skipped, 8);
         assert_eq!(
             fired.lock().expect("observer lock").len(),
@@ -1538,7 +1477,7 @@ mod tests {
             .build()
             .expect("valid configuration");
         assert!(matches!(
-            sbm_script_resumable(&aig, &drifted),
+            sbm_script_resumable(&aig, &drifted, None, None),
             Err(JournalError::ConfigMismatch { .. })
         ));
         let unconfigured = SbmOptions::builder()
@@ -1546,7 +1485,7 @@ mod tests {
             .build()
             .expect("valid configuration");
         assert!(matches!(
-            sbm_script_resumable(&aig, &unconfigured),
+            sbm_script_resumable(&aig, &unconfigured, None, None),
             Err(JournalError::NotConfigured)
         ));
         assert!(matches!(

@@ -328,137 +328,6 @@ fn assert_ledger_exact(report: &PipelineReport) -> Result<(), String> {
     check("degraded windows", fault.degraded_windows, degraded.len())
 }
 
-/// An engine wrapper that cancels a shared [`Budget`] after a fixed
-/// number of completed invocations — simulating a process being killed
-/// mid-run at an arbitrary point. It reports the inner engine's name so
-/// the configuration fingerprint (which hashes engine names) matches the
-/// plain pipeline used for the resume.
-struct KillSwitch<E> {
-    inner: E,
-    budget: sbm_budget::Budget,
-    fuse: std::sync::Arc<std::sync::atomic::AtomicUsize>,
-}
-
-impl<E: Engine> Engine for KillSwitch<E> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> sbm_core::engine::EngineResult {
-        let result = self.inner.optimize(aig, ctx);
-        use std::sync::atomic::Ordering;
-        let prev = self
-            .fuse
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-            .unwrap_or(0);
-        if prev == 1 {
-            self.budget.cancel();
-        }
-        result
-    }
-}
-
-fn kill_resume_options(num_threads: usize, dir: std::path::PathBuf) -> PipelineOptions {
-    PipelineOptions {
-        num_threads,
-        partition: PartitionOptions {
-            max_nodes: 16,
-            max_inputs: 8,
-            max_levels: 8,
-        },
-        min_window: 2,
-        checkpoint: Some(sbm_core::pipeline::CheckpointOptions::new(dir)),
-        ..PipelineOptions::default()
-    }
-}
-
-// Kill-mid-run crash safety: a checkpointed run whose budget is cancelled
-// after `kill_after` engine invocations — at an arbitrary point in the
-// window schedule — must leave a checkpoint from which a plain pipeline
-// resumes to a result identical to an uninterrupted run, with every
-// window accounted exactly once and consistent fault bookkeeping, at
-// every thread count.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-    #[test]
-    fn killed_checkpointed_run_resumes_identical(
-        recipe in arb_recipe(),
-        kill_after in 1usize..6,
-    ) {
-        let aig = build(&recipe);
-        for threads in [1usize, 2, 4] {
-            let dir = std::env::temp_dir().join(format!(
-                "sbm-kill-resume-{}-t{threads}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-
-            // Reference: the same configuration, uninterrupted and
-            // uncheckpointed.
-            let full = {
-                let mut o = kill_resume_options(threads, dir.clone());
-                o.checkpoint = None;
-                Pipeline::new(o)
-                    .with_engine(Rewrite::default())
-                    .with_engine(Resub::default())
-                    .run(&aig)
-            };
-
-            // The killed run: shared cancellable budget, fuse on the
-            // first engine of the chain.
-            let budget = sbm_budget::Budget::cancellable();
-            let fuse = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(kill_after));
-            let mut options = kill_resume_options(threads, dir.clone());
-            options.budget = budget.clone();
-            let killed = Pipeline::new(options)
-                .with_engine(KillSwitch {
-                    inner: Rewrite::default(),
-                    budget: budget.clone(),
-                    fuse,
-                })
-                .with_engine(Resub::default())
-                .run(&aig);
-            prop_assert!(killed.stats.is_consistent(), "{:?}", killed.stats);
-            prop_assert!(
-                killed.stats.checkpoint_error.is_none(),
-                "{:?}",
-                killed.stats.checkpoint_error
-            );
-            prop_assert!(equivalent(&aig, &killed.aig), "killed run broke function");
-
-            // Resume with the plain engine chain (same names, fresh
-            // unlimited budget).
-            let resumed = Pipeline::new(kill_resume_options(threads, dir.clone()))
-                .with_engine(Rewrite::default())
-                .with_engine(Resub::default())
-                .resume();
-            let resumed = match resumed {
-                Ok(r) => r,
-                Err(e) => {
-                    prop_assert!(false, "resume failed: {e}");
-                    unreachable!()
-                }
-            };
-            prop_assert!(equivalent(&aig, &resumed.aig), "resume broke function");
-            prop_assert!(resumed.stats.is_consistent(), "{:?}", resumed.stats);
-            prop_assert!(resumed.stats.fault.is_zero(), "{:?}", resumed.stats.fault);
-            prop_assert_eq!(
-                resumed.aig.num_ands(),
-                full.aig.num_ands(),
-                "resumed result differs from uninterrupted run"
-            );
-            let summary = resumed.stats.resume.unwrap_or_default();
-            prop_assert_eq!(
-                summary.windows_replayed + summary.windows_rerun,
-                resumed.stats.windows_total - resumed.stats.windows_skipped,
-                "every window must be replayed or re-run exactly once: {summary:?}"
-            );
-
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-}
-
 /// A deterministic mass of redundant logic big enough that the small
 /// partition settings produce many windows.
 fn stress_aig(seed: u64) -> Aig {

@@ -1,4 +1,4 @@
-//! Binary codecs for [`Aig`] and [`SopNetwork`] payloads.
+//! Binary codec for [`Aig`] payloads.
 //!
 //! The AIG codec is *id-exact*: encoding walks the canonical (cleaned)
 //! layout — constant node `0`, inputs `1..=I`, ANDs in creation order —
@@ -15,7 +15,6 @@
 //! unbounded allocation.
 
 use sbm_aig::{Aig, Lit};
-use sbm_sop::{Cover, Cube, SignalLit, SopNetwork};
 
 use crate::JournalError;
 
@@ -25,7 +24,7 @@ use crate::JournalError;
 pub const MAX_SNAPSHOT_INPUTS: usize = 1 << 24;
 
 /// FNV-1a 64-bit hasher — the cheap content fingerprint used for
-/// window pre/post hashes and configuration fingerprints.
+/// snapshot contents and configuration fingerprints.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
@@ -173,104 +172,6 @@ pub fn decode_aig(bytes: &[u8]) -> Result<Aig, JournalError> {
     Ok(aig)
 }
 
-/// Encodes a [`SopNetwork`]: `u32` input and interior-node counts, per
-/// node its cover (cube count, then per cube the literal count and
-/// literal codes `signal << 1 | negated`), then the output literal
-/// codes.
-pub fn encode_sop(net: &SopNetwork) -> Result<Vec<u8>, JournalError> {
-    let mut out = Vec::new();
-    push_u32(&mut out, to_u32(net.num_inputs(), "input count")?);
-    push_u32(&mut out, to_u32(net.num_nodes(), "node count")?);
-    for signal in net.num_inputs()..net.num_signals() {
-        let cover = net.cover(to_u32(signal, "signal")?);
-        push_u32(&mut out, to_u32(cover.num_cubes(), "cube count")?);
-        for cube in cover.cubes() {
-            push_u32(&mut out, to_u32(cube.num_lits(), "literal count")?);
-            for &lit in cube.lits() {
-                push_u32(&mut out, lit.signal() << 1 | u32::from(lit.is_negated()));
-            }
-        }
-    }
-    push_u32(&mut out, to_u32(net.outputs().len(), "output count")?);
-    for &lit in net.outputs() {
-        push_u32(&mut out, lit.signal() << 1 | u32::from(lit.is_negated()));
-    }
-    Ok(out)
-}
-
-/// Decodes a [`SopNetwork`] payload produced by [`encode_sop`]. Cubes
-/// are validated before construction (a contradictory cube is a typed
-/// error, not a panic); the caller is expected to run `check_sop` on
-/// the result for full structural validation, which the snapshot reader
-/// does.
-pub fn decode_sop(bytes: &[u8]) -> Result<SopNetwork, JournalError> {
-    let mut r = Reader::new(bytes);
-    let num_inputs = r.u32()? as usize;
-    let num_nodes = r.u32()? as usize;
-    if num_inputs > MAX_SNAPSHOT_INPUTS {
-        return Err(JournalError::payload(format!(
-            "declared input count {num_inputs} exceeds cap {MAX_SNAPSHOT_INPUTS}"
-        )));
-    }
-    // Each declared node costs at least 4 payload bytes (its cube
-    // count), so the node count is bounded by the payload length.
-    if num_nodes > bytes.len() / 4 {
-        return Err(JournalError::payload(format!(
-            "declared node count {num_nodes} exceeds what the payload could hold"
-        )));
-    }
-    let num_signals = num_inputs + num_nodes;
-    let mut net = SopNetwork::new(num_inputs);
-    for _ in 0..num_nodes {
-        let num_cubes = r.u32()? as usize;
-        let mut cubes = Vec::new();
-        for _ in 0..num_cubes {
-            let num_lits = r.u32()? as usize;
-            let mut lits: Vec<SignalLit> = Vec::new();
-            for _ in 0..num_lits {
-                let code = r.u32()?;
-                if (code >> 1) as usize >= num_signals {
-                    return Err(JournalError::payload(format!(
-                        "cube literal {code} references a signal outside the network"
-                    )));
-                }
-                lits.push(SignalLit::new(code >> 1, code & 1 != 0));
-            }
-            lits.sort_unstable();
-            lits.dedup();
-            for w in lits.windows(2) {
-                if w[0].signal() == w[1].signal() {
-                    return Err(JournalError::payload(format!(
-                        "contradictory cube: signal {} appears in both phases",
-                        w[0].signal()
-                    )));
-                }
-            }
-            cubes.push(Cube::from_lits(&lits));
-        }
-        net.add_node(Cover::from_cubes(cubes));
-    }
-    let num_outputs = r.u32()? as usize;
-    if num_outputs > bytes.len() / 4 {
-        return Err(JournalError::payload(format!(
-            "declared output count {num_outputs} exceeds what the payload could hold"
-        )));
-    }
-    for _ in 0..num_outputs {
-        let code = r.u32()?;
-        if (code >> 1) as usize >= num_signals {
-            return Err(JournalError::payload(format!(
-                "output literal {code} references a signal outside the network"
-            )));
-        }
-        net.add_output(SignalLit::new(code >> 1, code & 1 != 0));
-    }
-    if !r.is_empty() {
-        return Err(JournalError::payload("trailing bytes after SOP payload"));
-    }
-    Ok(net)
-}
-
 fn read_lit(r: &mut Reader<'_>, defining_idx: usize) -> Result<Lit, JournalError> {
     let code = r.u32()?;
     if (code >> 1) as usize >= defining_idx {
@@ -309,10 +210,6 @@ pub(crate) struct Reader<'a> {
 impl<'a> Reader<'a> {
     pub(crate) fn new(data: &'a [u8]) -> Self {
         Reader { data, pos: 0 }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pos == self.data.len()
     }
 
     pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
@@ -466,56 +363,6 @@ mod tests {
             decode_aig(&bytes),
             Err(JournalError::NotCanonical { node: 4 })
         ));
-    }
-
-    #[test]
-    fn sop_round_trip_preserves_function() {
-        let aig = sample_aig();
-        let net = SopNetwork::from_aig(&aig);
-        let bytes = encode_sop(&net).expect("encodable");
-        let back = decode_sop(&bytes).expect("round trip");
-        assert_eq!(back.num_inputs(), net.num_inputs());
-        assert_eq!(back.num_nodes(), net.num_nodes());
-        assert_eq!(back.outputs(), net.outputs());
-        for pattern in 0..8u32 {
-            let assignment: Vec<bool> = (0..3).map(|i| pattern >> i & 1 != 0).collect();
-            assert_eq!(net.eval(&assignment), back.eval(&assignment));
-        }
-    }
-
-    #[test]
-    fn decode_rejects_malformed_sop_payloads() {
-        // Contradictory cube: x0 & !x0.
-        let mut bytes = Vec::new();
-        push_u32(&mut bytes, 1); // inputs
-        push_u32(&mut bytes, 1); // nodes
-        push_u32(&mut bytes, 1); // cubes
-        push_u32(&mut bytes, 2); // lits
-        push_u32(&mut bytes, 0); // +x0
-        push_u32(&mut bytes, 1); // -x0
-        push_u32(&mut bytes, 1); // outputs
-        push_u32(&mut bytes, 1 << 1); // signal 1
-        assert!(matches!(
-            decode_sop(&bytes),
-            Err(JournalError::BadPayload { .. })
-        ));
-
-        // Out-of-range signal reference.
-        let mut oob = Vec::new();
-        push_u32(&mut oob, 1);
-        push_u32(&mut oob, 1);
-        push_u32(&mut oob, 1);
-        push_u32(&mut oob, 1);
-        push_u32(&mut oob, 99 << 1);
-        push_u32(&mut oob, 0);
-        assert!(decode_sop(&oob).is_err());
-
-        // Truncated mid-cube.
-        let mut trunc = Vec::new();
-        push_u32(&mut trunc, 1);
-        push_u32(&mut trunc, 1);
-        push_u32(&mut trunc, 5); // claims 5 cubes, provides none
-        assert!(decode_sop(&trunc).is_err());
     }
 
     #[test]

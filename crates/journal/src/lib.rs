@@ -1,16 +1,15 @@
-//! # sbm-journal — crash-safe persistence for pipeline runs
+//! # sbm-journal — crash-safe snapshots for script runs
 //!
 //! The SBM flow runs for hours inside ASIC flows; a process crash, OOM
-//! kill or operator Ctrl-C must not lose every completed window. This
-//! crate provides the durability substrate:
+//! kill or operator Ctrl-C must not lose every completed script step.
+//! The script is a fixed sequence of network-to-network steps, so the one
+//! durable unit is "the cleaned network after step N". This crate
+//! provides it:
 //!
 //! * a **versioned, CRC32-checked binary snapshot** format for [`Aig`]
-//!   networks and [`SopNetwork`]s with atomic write-temp-then-rename
-//!   semantics ([`snapshot`]),
-//! * a **write-ahead window journal** — an append-only record per
-//!   completed pipeline window (window id, outcome, pre/post hashes,
-//!   gain, fault-ledger slice), fsync'd on a configurable
-//!   `checkpoint_every` cadence ([`wal`]),
+//!   networks with atomic write-temp-then-rename semantics
+//!   ([`snapshot`]); `sbm-core`'s script writes one to
+//!   [`SCRIPT_STATE_FILE`] after each step and resumes from it,
 //! * the **resume bookkeeping** type [`ResumeSummary`] surfaced on
 //!   `sbm-core`'s `PipelineReport`.
 //!
@@ -21,31 +20,27 @@
 //! payload that does not round-trip exactly is rejected with
 //! [`JournalError::NotCanonical`] — the codec doubles as a structural
 //! validator, on top of the `sbm-check` validation the snapshot readers
-//! run. Because ids survive the round trip, re-partitioning a restored
-//! network reproduces the original run's windows exactly, which is what
-//! makes journal replay sound.
+//! run. Because ids survive the round trip, a resumed script continues
+//! from exactly the network the interrupted run had.
 //!
 //! Nothing here panics on malformed input: truncated files, flipped
 //! bytes and crafted payloads all surface as typed [`JournalError`]s,
 //! and decoders never allocate based on unvalidated claimed sizes.
+//!
+//! [`Aig`]: sbm_aig::Aig
 
 pub mod codec;
 pub mod snapshot;
-pub mod wal;
 
 use std::fmt;
 use std::path::PathBuf;
 
 use sbm_check::CheckError;
 
-pub use codec::{aig_fingerprint, decode_aig, decode_sop, encode_aig, encode_sop, Fnv64};
+pub use codec::{aig_fingerprint, decode_aig, encode_aig, Fnv64};
 pub use snapshot::{
-    read_aig_snapshot, read_aig_snapshot_with, read_sop_snapshot, write_aig_snapshot,
-    write_aig_snapshot_with, write_sop_snapshot, SnapshotKind, SnapshotMeta,
-};
-pub use wal::{
-    read_journal, read_journal_with, FaultRecord, InjectedFaultRecord, JournalReadout,
-    JournalWriter, ReadMode, RecordOutcome, WindowRecord,
+    read_aig_snapshot, read_aig_snapshot_with, write_aig_snapshot, write_aig_snapshot_with,
+    SnapshotMeta,
 };
 
 /// Creates `dir` (and missing parents) through the [`sbm_vfs`]
@@ -66,18 +61,9 @@ pub fn ensure_dir(dir: &std::path::Path) -> Result<(), JournalError> {
         })
 }
 
-/// On-disk format version stamped into every snapshot and journal
-/// header. Readers reject other versions with
+/// On-disk format version stamped into every snapshot header. Readers reject other versions with
 /// [`JournalError::VersionMismatch`].
 pub const FORMAT_VERSION: u16 = 1;
-
-/// Default file name for the pipeline input snapshot inside a
-/// checkpoint directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.sbmj";
-
-/// Default file name for the write-ahead window journal inside a
-/// checkpoint directory.
-pub const JOURNAL_FILE: &str = "windows.wal";
 
 /// Default file name for the script-level state snapshot inside a
 /// checkpoint directory.
@@ -88,7 +74,7 @@ pub const SCRIPT_STATE_FILE: &str = "script.state";
 /// Corruption is always reported, never panicked on: a flipped byte in
 /// a snapshot body or CRC field surfaces as [`Self::BadCrc`], a flipped
 /// version field as [`Self::VersionMismatch`], a truncated tail as
-/// [`Self::TornTail`], and a snapshot produced by a different pipeline
+/// [`Self::TornTail`], and a snapshot produced by a different script
 /// configuration as [`Self::ConfigMismatch`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalError {
@@ -113,15 +99,13 @@ pub enum JournalError {
     },
     /// A CRC32 check failed; `context` names the protected region.
     BadCrc {
-        /// What failed the check, e.g. `"snapshot"` or
-        /// `"journal record"`.
+        /// What failed the check, e.g. `"snapshot"`.
         context: &'static str,
     },
-    /// The file ends mid-record or mid-header: a crash interrupted the
-    /// last append. Lenient journal reads drop the torn tail instead.
+    /// The file ends mid-header or mid-payload.
     TornTail,
-    /// The snapshot or journal was written under a different pipeline
-    /// configuration fingerprint and cannot be resumed by this one.
+    /// The snapshot was written under a different script configuration
+    /// fingerprint and cannot be resumed by this one.
     ConfigMismatch {
         /// Fingerprint the resuming configuration computed.
         expected: u64,
@@ -177,7 +161,7 @@ impl fmt::Display for JournalError {
                 )
             }
             JournalError::BadCrc { context } => write!(f, "CRC mismatch in {context}"),
-            JournalError::TornTail => write!(f, "file ends mid-record (torn tail)"),
+            JournalError::TornTail => write!(f, "file ends early (torn tail)"),
             JournalError::ConfigMismatch { expected, found } => write!(
                 f,
                 "checkpoint written under configuration {found:#018x}, \
@@ -203,68 +187,30 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// Bookkeeping of a resumed run, surfaced on `PipelineReport`.
-///
-/// Every window of the resumed run is accounted exactly once: it was
-/// either satisfied from a replayed journal record
-/// ([`Self::windows_replayed`]) or executed fresh
-/// ([`Self::windows_rerun`]).
+/// Bookkeeping of a resumed script run, surfaced on `PipelineReport`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResumeSummary {
-    /// Valid journal records loaded from disk.
-    pub records_replayed: usize,
-    /// Torn tail records dropped (and truncated) during journal read.
-    pub torn_dropped: usize,
-    /// Records that were valid on disk but did not match the resumed
-    /// run's windows (pre/post-hash mismatch or failed re-validation);
-    /// their windows were re-run.
-    pub stale_dropped: usize,
-    /// Windows satisfied from the journal without re-running engines.
-    pub windows_replayed: usize,
-    /// Windows executed fresh after the resume point.
-    pub windows_rerun: usize,
-    /// Script-level steps skipped because a state snapshot already
+    /// Script steps skipped because the loaded state snapshot already
     /// covered them.
     pub steps_skipped: usize,
 }
 
 impl ResumeSummary {
     /// Accumulates another summary into this one (used when reports
-    /// from several pipeline invocations are merged).
+    /// from several runs are merged).
     pub fn merge(&mut self, other: &ResumeSummary) {
-        self.records_replayed += other.records_replayed;
-        self.torn_dropped += other.torn_dropped;
-        self.stale_dropped += other.stale_dropped;
-        self.windows_replayed += other.windows_replayed;
-        self.windows_rerun += other.windows_rerun;
         self.steps_skipped += other.steps_skipped;
-    }
-
-    /// Whether the summary records any resume activity at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        *self == ResumeSummary::default()
     }
 }
 
 impl fmt::Display for ResumeSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "resume: {} records replayed ({} torn dropped, {} stale), \
-             {} windows replayed, {} re-run, {} steps skipped",
-            self.records_replayed,
-            self.torn_dropped,
-            self.stale_dropped,
-            self.windows_replayed,
-            self.windows_rerun,
-            self.steps_skipped,
-        )
+        write!(f, "resume: {} steps skipped", self.steps_skipped)
     }
 }
 
 /// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `bytes`.
-/// This is the checksum every snapshot and journal record carries.
+/// This is the checksum every snapshot carries.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
@@ -313,7 +259,7 @@ mod tests {
 
     #[test]
     fn crc32_detects_single_bit_flips() {
-        let data = b"write-ahead journal record payload".to_vec();
+        let data = b"script state snapshot payload".to_vec();
         let base = crc32(&data);
         for byte in 0..data.len() {
             for bit in 0..8 {
@@ -326,28 +272,10 @@ mod tests {
 
     #[test]
     fn resume_summary_merges_and_displays() {
-        let mut a = ResumeSummary {
-            records_replayed: 3,
-            torn_dropped: 1,
-            stale_dropped: 0,
-            windows_replayed: 3,
-            windows_rerun: 2,
-            steps_skipped: 0,
-        };
-        let b = ResumeSummary {
-            records_replayed: 1,
-            windows_rerun: 4,
-            steps_skipped: 5,
-            ..ResumeSummary::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.records_replayed, 4);
-        assert_eq!(a.windows_rerun, 6);
-        assert_eq!(a.steps_skipped, 5);
-        assert!(!a.is_empty());
-        assert!(ResumeSummary::default().is_empty());
-        let text = a.to_string();
-        assert!(text.contains("4 records replayed"), "{text}");
+        let mut a = ResumeSummary { steps_skipped: 3 };
+        a.merge(&ResumeSummary { steps_skipped: 5 });
+        assert_eq!(a.steps_skipped, 8);
+        assert_eq!(a.to_string(), "resume: 8 steps skipped");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! offset  size  field
 //!      0     8  magic  b"SBMJSNAP"
 //!      8     2  format version
-//!     10     1  kind (1 = AIG, 2 = SOP)
+//!     10     1  kind (always 1 = AIG)
 //!     11     1  reserved (0)
 //!     12     8  configuration fingerprint
 //!     20     8  sequence number (resume point for script states)
@@ -29,49 +29,21 @@
 use std::path::Path;
 
 use sbm_aig::Aig;
-use sbm_check::{check_aig, check_sop};
-use sbm_sop::SopNetwork;
+use sbm_check::check_aig;
 use sbm_vfs::{RealVfs, Vfs};
 
-use crate::codec::{decode_aig, decode_sop, encode_aig, encode_sop, push_u64, Reader};
+use crate::codec::{decode_aig, encode_aig, push_u64, Reader};
 use crate::{crc32, JournalError, FORMAT_VERSION};
 
 const SNAP_MAGIC: [u8; 8] = *b"SBMJSNAP";
 const HEADER_LEN: usize = 36;
-
-/// What a snapshot file contains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotKind {
-    /// An [`Aig`] payload.
-    Aig,
-    /// A [`SopNetwork`] payload.
-    Sop,
-}
-
-impl SnapshotKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            SnapshotKind::Aig => 1,
-            SnapshotKind::Sop => 2,
-        }
-    }
-
-    fn from_byte(b: u8) -> Result<Self, JournalError> {
-        match b {
-            1 => Ok(SnapshotKind::Aig),
-            2 => Ok(SnapshotKind::Sop),
-            other => Err(JournalError::payload(format!(
-                "unknown snapshot kind {other}"
-            ))),
-        }
-    }
-}
+/// The header's kind byte. Only AIG payloads are written; the byte stays
+/// so that files written by earlier versions keep their layout.
+const KIND_AIG: u8 = 1;
 
 /// Header metadata of a snapshot file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotMeta {
-    /// Payload kind.
-    pub kind: SnapshotKind,
     /// Configuration fingerprint the writer ran under.
     pub fingerprint: u64,
     /// Writer-defined sequence number (e.g. script steps completed).
@@ -99,7 +71,7 @@ pub fn write_aig_snapshot_with(
     seq: u64,
 ) -> Result<(), JournalError> {
     let payload = encode_aig(aig)?;
-    write_snapshot_raw(vfs, path, SnapshotKind::Aig, &payload, fingerprint, seq)
+    write_snapshot_raw(vfs, path, &payload, fingerprint, seq)
 }
 
 /// Reads and fully validates an AIG snapshot: CRC, id-exact decode,
@@ -115,50 +87,14 @@ pub fn read_aig_snapshot_with(
     path: &Path,
 ) -> Result<(Aig, SnapshotMeta), JournalError> {
     let (meta, payload) = read_snapshot_raw(vfs, path)?;
-    if meta.kind != SnapshotKind::Aig {
-        return Err(JournalError::payload("snapshot does not contain an AIG"));
-    }
     let aig = decode_aig(&payload)?;
     check_aig(&aig).map_err(JournalError::SnapshotInvalid)?;
     Ok((aig, meta))
 }
 
-/// Atomically writes a [`SopNetwork`] snapshot.
-pub fn write_sop_snapshot(
-    path: &Path,
-    net: &SopNetwork,
-    fingerprint: u64,
-    seq: u64,
-) -> Result<(), JournalError> {
-    let payload = encode_sop(net)?;
-    write_snapshot_raw(
-        &RealVfs,
-        path,
-        SnapshotKind::Sop,
-        &payload,
-        fingerprint,
-        seq,
-    )
-}
-
-/// Reads and fully validates a [`SopNetwork`] snapshot (CRC, decode,
-/// `check_sop`).
-pub fn read_sop_snapshot(path: &Path) -> Result<(SopNetwork, SnapshotMeta), JournalError> {
-    let (meta, payload) = read_snapshot_raw(&RealVfs, path)?;
-    if meta.kind != SnapshotKind::Sop {
-        return Err(JournalError::payload(
-            "snapshot does not contain an SOP network",
-        ));
-    }
-    let net = decode_sop(&payload)?;
-    check_sop(&net).map_err(JournalError::SnapshotInvalid)?;
-    Ok((net, meta))
-}
-
 fn write_snapshot_raw(
     vfs: &dyn Vfs,
     path: &Path,
-    kind: SnapshotKind,
     payload: &[u8],
     fingerprint: u64,
     seq: u64,
@@ -166,7 +102,7 @@ fn write_snapshot_raw(
     let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
     bytes.extend_from_slice(&SNAP_MAGIC);
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.push(kind.to_byte());
+    bytes.push(KIND_AIG);
     bytes.push(0);
     push_u64(&mut bytes, fingerprint);
     push_u64(&mut bytes, seq);
@@ -214,7 +150,9 @@ fn read_snapshot_raw(vfs: &dyn Vfs, path: &Path) -> Result<(SnapshotMeta, Vec<u8
             expected: FORMAT_VERSION,
         });
     }
-    let kind = SnapshotKind::from_byte(r.u8().map_err(|_| JournalError::TornTail)?)?;
+    if r.u8().map_err(|_| JournalError::TornTail)? != KIND_AIG {
+        return Err(JournalError::payload("snapshot does not contain an AIG"));
+    }
     let _reserved = r.u8().map_err(|_| JournalError::TornTail)?;
     let fingerprint = r.u64().map_err(|_| JournalError::TornTail)?;
     let seq = r.u64().map_err(|_| JournalError::TornTail)?;
@@ -243,14 +181,7 @@ fn read_snapshot_raw(vfs: &dyn Vfs, path: &Path) -> Result<(SnapshotMeta, Vec<u8
         });
     }
     let payload = bytes[HEADER_LEN..body_end].to_vec();
-    Ok((
-        SnapshotMeta {
-            kind,
-            fingerprint,
-            seq,
-        },
-        payload,
-    ))
+    Ok((SnapshotMeta { fingerprint, seq }, payload))
 }
 
 fn tmp_path(path: &Path) -> std::path::PathBuf {
@@ -292,7 +223,6 @@ mod tests {
         let aig = sample_aig();
         write_aig_snapshot(&path, &aig, 0xDEAD_BEEF, 7).expect("write");
         let (back, meta) = read_aig_snapshot(&path).expect("read");
-        assert_eq!(meta.kind, SnapshotKind::Aig);
         assert_eq!(meta.fingerprint, 0xDEAD_BEEF);
         assert_eq!(meta.seq, 7);
         assert_eq!(back.num_ands(), aig.num_ands());
@@ -312,20 +242,6 @@ mod tests {
         let (_, meta) = read_aig_snapshot(&path).expect("read");
         assert_eq!(meta.fingerprint, 2);
         assert_eq!(meta.seq, 9);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sop_snapshot_round_trips() {
-        let dir = temp_dir("sop");
-        let path = dir.join("net.sbmj");
-        let net = SopNetwork::from_aig(&sample_aig());
-        write_sop_snapshot(&path, &net, 3, 0).expect("write");
-        let (back, meta) = read_sop_snapshot(&path).expect("read");
-        assert_eq!(meta.kind, SnapshotKind::Sop);
-        assert_eq!(back.num_nodes(), net.num_nodes());
-        // Reading with the wrong-kind accessor is a typed error.
-        assert!(read_aig_snapshot(&path).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 

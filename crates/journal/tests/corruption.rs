@@ -11,19 +11,12 @@ use std::fs;
 use std::path::PathBuf;
 
 use sbm_aig::Aig;
-use sbm_journal::{
-    read_aig_snapshot, read_journal, write_aig_snapshot, FaultRecord, JournalError, JournalWriter,
-    ReadMode, RecordOutcome, WindowRecord,
-};
+use sbm_journal::{read_aig_snapshot, write_aig_snapshot, JournalError};
 
 /// Snapshot header layout constants (see `snapshot.rs` docs): the
 /// version field starts at byte 8, the payload at byte 36.
 const SNAP_VERSION_OFFSET: usize = 8;
 const SNAP_PAYLOAD_OFFSET: usize = 36;
-/// Journal header layout (see `wal.rs` docs): version at byte 8,
-/// first frame at byte 20.
-const WAL_VERSION_OFFSET: usize = 8;
-const WAL_FRAMES_OFFSET: usize = 20;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sbm-corruption-{tag}-{}", std::process::id()));
@@ -41,28 +34,6 @@ fn small_aig() -> Aig {
     let f = aig.and(ab, c);
     aig.add_output(f);
     aig.cleanup()
-}
-
-fn record(window: u64) -> WindowRecord {
-    WindowRecord {
-        window,
-        outcome: RecordOutcome::Unchanged,
-        pre_hash: 0x1234 + window,
-        post_hash: 0x1234 + window,
-        gain: 0,
-        fault: FaultRecord::default(),
-    }
-}
-
-/// Writes a journal with `n` records and returns its path.
-fn journal_with_records(dir: &std::path::Path, n: u64) -> PathBuf {
-    let path = dir.join("windows.wal");
-    let mut writer = JournalWriter::create(&path, 0xFEED, 1).unwrap();
-    for w in 0..n {
-        writer.append(&record(w)).unwrap();
-    }
-    writer.flush().unwrap();
-    path
 }
 
 fn flip_byte(path: &std::path::Path, offset: usize) {
@@ -145,109 +116,5 @@ fn snapshot_truncation_is_torn_tail_at_every_length() {
             "cut at {cut}"
         );
     }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn journal_garbage_tail_is_strict_error_lenient_drop() {
-    let dir = temp_dir("wal-tail");
-    let path = journal_with_records(&dir, 3);
-    let mut bytes = fs::read(&path).unwrap();
-    let valid_len = bytes.len() as u64;
-    bytes.extend_from_slice(&[0xAB; 5]); // a crash mid-append
-    fs::write(&path, bytes).unwrap();
-
-    assert_eq!(
-        read_journal(&path, ReadMode::Strict).unwrap_err(),
-        JournalError::TornTail
-    );
-    let readout = read_journal(&path, ReadMode::Lenient).unwrap();
-    assert_eq!(readout.records.len(), 3);
-    assert_eq!(readout.torn_dropped, 1);
-    assert_eq!(readout.valid_len, valid_len);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn journal_truncated_final_frame_is_strict_error_lenient_drop() {
-    let dir = temp_dir("wal-trunc");
-    let path = journal_with_records(&dir, 2);
-    let bytes = fs::read(&path).unwrap();
-    fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-
-    assert_eq!(
-        read_journal(&path, ReadMode::Strict).unwrap_err(),
-        JournalError::TornTail
-    );
-    let readout = read_journal(&path, ReadMode::Lenient).unwrap();
-    assert_eq!(readout.records.len(), 1);
-    assert_eq!(readout.torn_dropped, 1);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn journal_mid_file_corruption_is_hard_bad_crc_in_both_modes() {
-    let dir = temp_dir("wal-mid");
-    let path = journal_with_records(&dir, 3);
-    // Flip a byte inside the FIRST frame's payload: not a torn append,
-    // so even the lenient reader must refuse the file.
-    flip_byte(&path, WAL_FRAMES_OFFSET + 8 + 1);
-    for mode in [ReadMode::Strict, ReadMode::Lenient] {
-        assert_eq!(
-            read_journal(&path, mode).unwrap_err(),
-            JournalError::BadCrc {
-                context: "journal record"
-            },
-            "{mode:?}"
-        );
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn journal_header_corruption_is_typed() {
-    let dir = temp_dir("wal-header");
-    let path = journal_with_records(&dir, 1);
-    let pristine = fs::read(&path).unwrap();
-
-    flip_byte(&path, 0);
-    assert_eq!(
-        read_journal(&path, ReadMode::Lenient).unwrap_err(),
-        JournalError::BadMagic
-    );
-
-    fs::write(&path, &pristine).unwrap();
-    flip_byte(&path, WAL_VERSION_OFFSET);
-    assert!(matches!(
-        read_journal(&path, ReadMode::Lenient).unwrap_err(),
-        JournalError::VersionMismatch { expected: 1, .. }
-    ));
-
-    // A header cut below 20 bytes cannot even be identified.
-    fs::write(&path, &pristine[..10]).unwrap();
-    assert_eq!(
-        read_journal(&path, ReadMode::Strict).unwrap_err(),
-        JournalError::TornTail
-    );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn journal_huge_length_claim_is_torn_not_allocated() {
-    let dir = temp_dir("wal-claim");
-    let path = journal_with_records(&dir, 1);
-    let mut bytes = fs::read(&path).unwrap();
-    // Overwrite the first frame's length field with an absurd claim;
-    // the reader must treat it as a torn/corrupt region instead of
-    // allocating gigabytes.
-    bytes[WAL_FRAMES_OFFSET..WAL_FRAMES_OFFSET + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    fs::write(&path, bytes).unwrap();
-    assert_eq!(
-        read_journal(&path, ReadMode::Strict).unwrap_err(),
-        JournalError::TornTail
-    );
-    let readout = read_journal(&path, ReadMode::Lenient).unwrap();
-    assert!(readout.records.is_empty());
-    assert_eq!(readout.torn_dropped, 1);
     let _ = fs::remove_dir_all(&dir);
 }

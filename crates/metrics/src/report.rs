@@ -24,8 +24,10 @@ use crate::{CounterSet, Histogram, HISTOGRAM_BUCKETS};
 /// Version stamped into (and required from) every serialized report.
 /// v2 added the `sim_filter` block (simulation-signature candidate
 /// filtering counters); v3 added the `server` block (job-server slice /
-/// park / resume / recovery bookkeeping).
-pub const SCHEMA_VERSION: u64 = 4;
+/// park / resume / recovery bookkeeping); v4 added the server's scrub,
+/// I/O-fault and retry counters; v5 shrank the `resume` block to
+/// `steps_skipped` (script-step snapshots are the only checkpoint).
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Window-outcome counters of a run (each processed window lands in
 /// exactly one of the outcome buckets).
@@ -211,16 +213,6 @@ pub struct FaultReport {
 /// Resume bookkeeping (present only for resumed runs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResumeReport {
-    /// Valid journal records loaded.
-    pub records_replayed: u64,
-    /// Torn tail records dropped.
-    pub torn_dropped: u64,
-    /// Stale records dropped (their windows re-ran).
-    pub stale_dropped: u64,
-    /// Windows satisfied from the journal.
-    pub windows_replayed: u64,
-    /// Windows executed fresh.
-    pub windows_rerun: u64,
     /// Script steps skipped via state snapshots.
     pub steps_skipped: u64,
 }
@@ -476,11 +468,6 @@ impl RunReport {
 
         if let Some(pr) = &prior.resume {
             let r = self.resume.get_or_insert_with(ResumeReport::default);
-            r.records_replayed += pr.records_replayed;
-            r.torn_dropped += pr.torn_dropped;
-            r.stale_dropped += pr.stale_dropped;
-            r.windows_replayed += pr.windows_replayed;
-            r.windows_rerun += pr.windows_rerun;
             r.steps_skipped += pr.steps_skipped;
         }
 
@@ -622,14 +609,9 @@ impl RunReport {
                 "resume".into(),
                 match &self.resume {
                     None => JsonValue::Null,
-                    Some(r) => JsonValue::Obj(vec![
-                        ("records_replayed".into(), uint(r.records_replayed)),
-                        ("torn_dropped".into(), uint(r.torn_dropped)),
-                        ("stale_dropped".into(), uint(r.stale_dropped)),
-                        ("windows_replayed".into(), uint(r.windows_replayed)),
-                        ("windows_rerun".into(), uint(r.windows_rerun)),
-                        ("steps_skipped".into(), uint(r.steps_skipped)),
-                    ]),
+                    Some(r) => {
+                        JsonValue::Obj(vec![("steps_skipped".into(), uint(r.steps_skipped))])
+                    }
                 },
             ),
             (
@@ -771,11 +753,6 @@ impl RunReport {
             value => {
                 let mut r = Fields::new(value, "resume")?;
                 let resume = ResumeReport {
-                    records_replayed: r.u64("records_replayed")?,
-                    torn_dropped: r.u64("torn_dropped")?,
-                    stale_dropped: r.u64("stale_dropped")?,
-                    windows_replayed: r.u64("windows_replayed")?,
-                    windows_rerun: r.u64("windows_rerun")?,
                     steps_skipped: r.u64("steps_skipped")?,
                 };
                 r.finish()?;
@@ -1081,12 +1058,7 @@ mod tests {
                     ..EngineFaultCounters::default()
                 }],
             },
-            resume: Some(ResumeReport {
-                records_replayed: 12,
-                windows_replayed: 12,
-                windows_rerun: 3,
-                ..ResumeReport::default()
-            }),
+            resume: Some(ResumeReport { steps_skipped: 12 }),
             checkpoint_error: Some("disk full".to_string()),
             extra,
         }
@@ -1125,7 +1097,7 @@ mod tests {
         assert!(cur.engines.iter().any(|e| e.name == "bdiff"));
         // Fault entries merge by name; resume blocks sum.
         assert_eq!(cur.faults.per_engine.len(), 1);
-        assert_eq!(cur.resume.expect("resume").records_replayed, 12);
+        assert_eq!(cur.resume.expect("resume").steps_skipped, 12);
         assert_eq!(cur.checkpoint_error.as_deref(), Some("disk full"));
         assert_eq!(cur.extra.get("script_us"), 123_456);
 

@@ -42,9 +42,7 @@ use std::thread;
 use std::time::Duration;
 
 use sbm_budget::Budget;
-use sbm_core::script::{
-    sbm_script_budgeted_observed, sbm_script_resumable_budgeted_observed, ReportSink,
-};
+use sbm_core::script::{sbm_script_budgeted_observed, sbm_script_resumable, ReportSink};
 use sbm_metrics::{RunReport, ServerCounters, Timer};
 use sbm_vfs::{ChaosVfs, IoFaultPlan};
 
@@ -749,20 +747,15 @@ fn run_slice(shared: &Shared, key: &str, job_budget: &Budget, slice: &Budget) ->
     // checkpoint when one exists; fall back to a fresh (checkpointing)
     // run when it doesn't or is damaged; isolate panics that escape the
     // pipeline's own per-engine isolation.
-    let run = catch_unwind(AssertUnwindSafe(
-        || match sbm_script_resumable_budgeted_observed(
-            &input,
-            &options,
-            slice,
-            ReportSink(&persist),
-        ) {
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        match sbm_script_resumable(&input, &options, Some(slice), Some(ReportSink(&persist))) {
             Ok(out) => (out, true),
             Err(_) => (
                 sbm_script_budgeted_observed(&input, &options, slice, ReportSink(&persist)),
                 false,
             ),
-        },
-    ));
+        }
+    }));
     let (out, resumed) = match run {
         Ok(pair) => pair,
         Err(panic) => return SliceOutcome::Panicked(panic_message(&panic)),

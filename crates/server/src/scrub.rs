@@ -2,7 +2,7 @@
 //!
 //! [`scrub_store`] walks every job directory under the store root,
 //! re-validates each durable artifact — record CRCs and magics,
-//! snapshot CRCs and fingerprints, WAL frame integrity — and moves
+//! snapshot CRCs and fingerprints — and moves
 //! anything that fails into `<root>/quarantine/` with a typed reason
 //! encoded in the file name. Nothing is ever deleted: quarantine
 //! preserves the corrupt bytes for post-mortem while making the damage
@@ -18,7 +18,7 @@
 //! | `result.bin`     | quarantine it — the job re-runs and rewrites a byte-identical result |
 //! | `report.partial` | quarantine it — resume proceeds, counters restart from the checkpoint |
 //! | `cancelled`      | quarantine it — the cancellation is lost, the job re-runs |
-//! | `ckpt/*` snapshot / WAL | quarantine the file — resume falls back to an earlier step or the input |
+//! | any `ckpt/*` file | quarantine it unless it is a valid snapshot — resume falls back to a fresh run |
 //! | any `*.tmp`      | quarantine it — an interrupted atomic write, never referenced |
 //!
 //! Every validating read goes through the store's retry wrapper, so an
@@ -27,7 +27,7 @@
 
 use std::path::{Path, PathBuf};
 
-use sbm_journal::{read_aig_snapshot_with, read_journal_with, ReadMode};
+use sbm_journal::read_aig_snapshot_with;
 
 use crate::store::{
     decode_meta, decode_result, key_hash, read_record, Store, StoreError, META_MAGIC,
@@ -53,8 +53,6 @@ pub enum ScrubReason {
     BadCancelled,
     /// A checkpoint snapshot failed CRC/decode validation.
     BadCheckpoint,
-    /// A window WAL failed header or mid-file CRC validation.
-    BadWal,
     /// A leftover `.tmp` from an interrupted atomic write.
     OrphanTmp,
 }
@@ -70,7 +68,6 @@ impl ScrubReason {
             ScrubReason::BadPartial => "bad-partial",
             ScrubReason::BadCancelled => "bad-cancelled",
             ScrubReason::BadCheckpoint => "bad-checkpoint",
-            ScrubReason::BadWal => "bad-wal",
             ScrubReason::OrphanTmp => "orphan-tmp",
         }
     }
@@ -223,31 +220,20 @@ fn scrub_job_dir(
         }
     }
 
-    // Pass 3: checkpoint artifacts. Snapshots validate structurally
-    // (their fingerprint is the script's, not derivable here); WALs
-    // must read leniently without mid-file corruption.
+    // Pass 3: checkpoint artifacts. Every file must be a structurally
+    // valid snapshot (its fingerprint is the script's, not derivable
+    // here); anything else — a damaged snapshot or a stray file the
+    // script never writes — is quarantined.
     for path in ckpt_files {
         if path.is_dir() || path.extension().is_some_and(|x| x == "tmp") {
             continue;
         }
-        let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
-        let Some(name) = name else { continue };
-        if name.ends_with(".wal") {
-            report.scanned += 1;
-            if store
-                .with_retries(|vfs| Ok(read_journal_with(vfs, &path, ReadMode::Lenient)?))
-                .is_err()
-            {
-                move_to_quarantine(store, &path, quarantine, ScrubReason::BadWal, report)?;
-            }
-        } else {
-            report.scanned += 1;
-            if store
-                .with_retries(|vfs| Ok(read_aig_snapshot_with(vfs, &path)?))
-                .is_err()
-            {
-                move_to_quarantine(store, &path, quarantine, ScrubReason::BadCheckpoint, report)?;
-            }
+        report.scanned += 1;
+        if store
+            .with_retries(|vfs| Ok(read_aig_snapshot_with(vfs, &path)?))
+            .is_err()
+        {
+            move_to_quarantine(store, &path, quarantine, ScrubReason::BadCheckpoint, report)?;
         }
     }
     Ok(())
@@ -432,6 +418,30 @@ mod tests {
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].reason, ScrubReason::BadCheckpoint);
         // The job itself is untouched and still Done.
+        let jobs = store.scan().expect("scan");
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].state, ScanState::Done);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn stray_wal_in_checkpoint_dir_is_quarantined_not_deleted() {
+        let root = tmp_root("wal");
+        let store = Store::open(&root).expect("open");
+        seed_done_job(&store, "a");
+        let ckpt = store.ckpt_dir("a");
+        fs::create_dir_all(&ckpt).expect("ckpt dir");
+        let wal = ckpt.join("windows.wal");
+        let bytes = b"SBMJWAL\0 left behind by an older build".to_vec();
+        fs::write(&wal, &bytes).expect("stray wal");
+
+        let report = scrub_store(&store).expect("scrub");
+        assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
+        let q = &report.quarantined[0];
+        assert_eq!(q.reason, ScrubReason::BadCheckpoint);
+        assert_eq!(q.file, wal);
+        assert!(!wal.exists(), "moved out of the checkpoint directory");
+        assert_eq!(fs::read(&q.quarantined_as).expect("kept"), bytes);
         let jobs = store.scan().expect("scan");
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].state, ScanState::Done);

@@ -182,7 +182,7 @@ fn every_corpus_entry_replays_byte_identically_across_parks() {
     // snapshot captures, and under finite SAT/move budgets the sharper
     // filter changed the result.
     use sbm_budget::Budget;
-    use sbm_core::script::{sbm_script_budgeted, sbm_script_resumable_budgeted};
+    use sbm_core::script::{sbm_script_budgeted_observed, sbm_script_resumable, ReportSink};
 
     let wire = JobOptions {
         iterations: 2,
@@ -203,14 +203,14 @@ fn every_corpus_entry_replays_byte_identically_across_parks() {
         // server's scheduler does) until a run completes un-tripped.
         let mut slice_ms = 1u64;
         let mut budget = Budget::from_deadline(Some(Duration::from_millis(slice_ms)));
-        let mut out = sbm_script_budgeted(&input, &options, &budget);
+        let mut out = sbm_script_budgeted_observed(&input, &options, &budget, ReportSink(&|_| {}));
         let mut parks = 0u32;
         while budget.check().is_err() {
             parks += 1;
             assert!(parks < 40, "entry {index} never completed");
             slice_ms *= 2;
             budget = Budget::from_deadline(Some(Duration::from_millis(slice_ms)));
-            out = sbm_script_resumable_budgeted(&input, &options, &budget)
+            out = sbm_script_resumable(&input, &options, Some(&budget), None)
                 .expect("resume from parked checkpoint");
         }
         assert_eq!(

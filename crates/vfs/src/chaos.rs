@@ -413,9 +413,8 @@ impl VfsFile for ChaosFile {
     }
 
     fn read_to_end(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
-        // Handle-level reads (WAL reopen truncation scans) are left
-        // clean; whole-file reads via `Vfs::read` carry the corruption
-        // fault.
+        // Handle-level reads are left clean; whole-file reads via
+        // `Vfs::read` carry the corruption fault.
         self.inner.read_to_end(buf)
     }
 

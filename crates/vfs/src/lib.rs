@@ -1,7 +1,7 @@
 //! The filesystem boundary of the workspace.
 //!
-//! Every byte SBM persists — snapshots, write-ahead journals, the job
-//! store — flows through the [`Vfs`] trait defined here. Production code
+//! Every byte SBM persists — script snapshots and the job store —
+//! flows through the [`Vfs`] trait defined here. Production code
 //! uses [`RealVfs`], a thin passthrough to `std::fs`; tests and chaos
 //! runs use [`ChaosVfs`], which injects *deterministic, seed-keyed* I/O
 //! faults (torn writes, failed fsyncs, ENOSPC, read corruption, rename

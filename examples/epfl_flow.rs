@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example epfl_flow --release -- [benchmark]`
 
-use sbm::core::script::{resyn2rs_fixpoint, sbm_script, SbmOptions};
+use sbm::core::script::{resyn2rs_fixpoint, sbm_script_report, SbmOptions};
 use sbm::epfl::{generate, Scale};
 use sbm::lutmap::{map_luts, MapOptions};
 
@@ -30,7 +30,7 @@ fn main() {
         base_map.depth()
     );
 
-    let sbm = sbm_script(&aig, &SbmOptions::default());
+    let sbm = sbm_script_report(&aig, &SbmOptions::default()).aig;
     let sbm_map = map_luts(&sbm, &MapOptions::default());
     println!(
         "SBM script:            {:5} AIG nodes -> {:4} LUT-6, {} levels",

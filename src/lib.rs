@@ -21,7 +21,10 @@
 //! those checks at every engine boundary (see
 //! [`core::pipeline::PipelineOptions::check_level`]), and the [`budget`]
 //! crate bounds engine effort with wall-clock deadlines and cooperative
-//! cancellation (see [`core::pipeline::PipelineOptions::deadline`]).
+//! cancellation (see [`core::pipeline::PipelineOptions::budget`]). The
+//! [`journal`] crate persists a script run after every step, so an
+//! interrupted run resumes where it stopped
+//! ([`core::script::sbm_script_resumable`]).
 //!
 //! # Quickstart
 //!
@@ -40,7 +43,7 @@
 //! aig.add_output(f);
 //!
 //! let before = aig.num_ands();
-//! let optimized = script::sbm_script(&aig, &script::SbmOptions::default());
+//! let optimized = script::sbm_script_report(&aig, &script::SbmOptions::default()).aig;
 //! assert!(optimized.num_ands() <= before);
 //! ```
 

@@ -5,7 +5,7 @@
 //! End-to-end integration tests across all crates: generate realistic
 //! benchmarks, run the full SBM script, and prove equivalence with SAT.
 
-use sbm::core::script::{resyn2rs_fixpoint, sbm_script, SbmOptions};
+use sbm::core::script::{resyn2rs_fixpoint, sbm_script_report, SbmOptions};
 use sbm::epfl::{generate, Scale};
 use sbm::lutmap::{map_luts, MapOptions};
 use sbm::sat::{EquivalenceOracle, MiterOracle, Verdict};
@@ -17,7 +17,7 @@ const SMALL: [&str; 5] = ["int2float", "ctrl", "router", "priority", "dec"];
 fn sbm_script_preserves_function_on_epfl_benchmarks() {
     for name in SMALL {
         let aig = generate(name, Scale::Reduced).expect("known benchmark");
-        let optimized = sbm_script(&aig, &SbmOptions::default());
+        let optimized = sbm_script_report(&aig, &SbmOptions::default()).aig;
         assert!(
             optimized.num_ands() <= aig.num_ands(),
             "{name}: {} -> {}",
@@ -39,7 +39,7 @@ fn sbm_beats_or_ties_baseline() {
     for name in SMALL {
         let aig = generate(name, Scale::Reduced).expect("known benchmark");
         let baseline = resyn2rs_fixpoint(&aig, 4);
-        let sbm = sbm_script(&aig, &SbmOptions::default());
+        let sbm = sbm_script_report(&aig, &SbmOptions::default()).aig;
         total += 1;
         assert!(
             sbm.num_ands() <= baseline.num_ands() + baseline.num_ands() / 20,
@@ -61,7 +61,7 @@ fn sbm_beats_or_ties_baseline() {
 fn lut_mapping_of_optimized_networks_is_equivalent() {
     for name in ["int2float", "router"] {
         let aig = generate(name, Scale::Reduced).expect("known benchmark");
-        let optimized = sbm_script(&aig, &SbmOptions::default());
+        let optimized = sbm_script_report(&aig, &SbmOptions::default()).aig;
         let mapped = map_luts(&optimized, &MapOptions::default());
         // Exhaustive for small input counts, random otherwise.
         let n = aig.num_inputs();
@@ -93,7 +93,7 @@ fn lut_mapping_of_optimized_networks_is_equivalent() {
 #[test]
 fn aiger_round_trip_of_optimized_network() {
     let aig = generate("int2float", Scale::Reduced).expect("known benchmark");
-    let optimized = sbm_script(&aig, &SbmOptions::default());
+    let optimized = sbm_script_report(&aig, &SbmOptions::default()).aig;
     let text = sbm::aig::aiger::write(&optimized);
     let back = sbm::aig::aiger::parse(&text).expect("own AIGER output parses");
     assert_eq!(
@@ -107,7 +107,7 @@ fn arbiter_collapses_dramatically() {
     // The paper reports a 1.5× reduction on arbiter; our generated
     // arbiter has heavy chain redundancy that the script must exploit.
     let aig = generate("arbiter", Scale::Reduced).expect("known benchmark");
-    let optimized = sbm_script(&aig, &SbmOptions::default());
+    let optimized = sbm_script_report(&aig, &SbmOptions::default()).aig;
     assert!(
         optimized.num_ands() < aig.num_ands(),
         "{} -> {}",
