@@ -90,6 +90,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> sbm-lint"
 cargo run -q -p sbm-lint
 
+# Rustdoc with warnings denied, so a deleted or renamed item cannot leave
+# a broken intra-doc link behind. Both modes.
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --workspace --release
@@ -184,12 +189,22 @@ fi
 # signature filter on and off at the same thread count. Both results
 # must SAT-verify equivalent, and — because the filter is a sound
 # necessary condition that only discards hopeless candidates — the
-# filtered pass must end at least as small as the unfiltered one.
+# filtered pass must end at least as small as the unfiltered one. The
+# switch never picks the schedule, so the unfiltered row must also be
+# identical at one and two threads.
 if [[ $quick -eq 1 ]]; then
     echo "==> sim-filter on/off smoke"
     row_on=$("${table1[@]}" --only priority --threads 2 | grep '^priority')
     row_off=$("${table1[@]}" --only priority --threads 2 --sim-filter off |
         grep '^priority')
+    row_off_t1=$("${table1[@]}" --only priority --threads 1 --sim-filter off |
+        grep '^priority')
+    if [[ "$row_off" != "$row_off_t1" ]]; then
+        echo "sim-filter smoke: unfiltered run depends on --threads" >&2
+        echo "  threads 1: $row_off_t1" >&2
+        echo "  threads 2: $row_off" >&2
+        exit 1
+    fi
     for row in "$row_on" "$row_off"; do
         if ! grep -q 'eq(SAT)' <<<"$row"; then
             echo "sim-filter smoke: run did not verify equivalent: $row" >&2

@@ -83,9 +83,9 @@ pub fn threads_arg() -> usize {
 /// binaries (default `on`): whether runs maintain the shared
 /// simulation-signature service that filters candidates before BDD/SAT
 /// work and harvests counterexamples from failed equivalence checks.
-/// The filter is a sound necessary condition (it never costs quality),
-/// but `on` also pins runs to the thread-count-invariant windowed
-/// schedule; see `SbmOptions::sim_filter`.
+/// The filter is a sound necessary condition (it never costs quality)
+/// and only skips work: either setting runs the same schedule and gives
+/// the same result at every `--threads N`; see `SbmOptions::sim_filter`.
 pub fn sim_filter_arg() -> bool {
     let mut args = std::env::args();
     while let Some(a) = args.next() {

@@ -209,7 +209,7 @@ impl fmt::Display for CheckError {
 impl Error for CheckError {}
 
 /// How aggressively the pipeline validates invariants around engine
-/// invocations (see `sbm-core`'s `PipelineOptions::check_level`).
+/// invocations (see `sbm-core`'s `EngineCtx::check_level`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum CheckLevel {
     /// No checking (the production default; zero overhead).

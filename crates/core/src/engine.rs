@@ -204,29 +204,12 @@ pub trait Engine: Send + Sync {
     }
 }
 
-/// A boxed engine is an engine, so one chosen at runtime (a gradient
-/// move) can go wherever an engine value goes, e.g. into
-/// [`crate::pipeline::pass`].
-impl<E: Engine + ?Sized> Engine for Box<E> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
-        (**self).optimize(aig, ctx)
-    }
-
-    fn reduced_effort(&self) -> Option<Box<dyn Engine>> {
-        (**self).reduced_effort()
-    }
-}
-
 /// Seed of every 64-pattern simulation spot-check run by the checked
 /// pipeline mode — fixed so checked runs stay deterministic.
 pub const SPOT_CHECK_SEED: u64 = 0x53424DC4EC;
 
 /// An invariant violation caught by the checked pipeline mode
-/// ([`CheckLevel`](sbm_check::CheckLevel)), attributing the failure to
+/// ([`CheckLevel`]), attributing the failure to
 /// the engine invocation (and, inside the pipeline, the partition) that
 /// produced it.
 #[derive(Debug, Clone)]
@@ -264,8 +247,7 @@ impl fmt::Display for CheckViolation {
 /// **discarded** — the input passes through unchanged — and the
 /// violation is reported, attributed to `engine` and `window`.
 ///
-/// This is the primitive behind
-/// [`CheckLevel::Paranoid`](sbm_check::CheckLevel::Paranoid); callers at
+/// This is the primitive behind [`CheckLevel::Paranoid`]; callers at
 /// `Off` should invoke [`Engine::optimize`] directly (this wrapper costs
 /// two structural walks and two simulation sweeps per invocation).
 pub fn run_checked(
@@ -497,7 +479,7 @@ impl Engine for Bdiff {
 /// demands strict serial execution.
 #[derive(Debug, Clone, Default)]
 pub struct Hetero {
-    /// Pass options (`parallel` is overridden by the context).
+    /// Pass options.
     pub options: HeteroOptions,
 }
 
@@ -507,11 +489,9 @@ impl Engine for Hetero {
     }
 
     fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
-        let mut options = self.options.clone();
-        options.parallel = ctx.num_threads() > 1;
         timed(
             aig,
-            |a| hetero_eliminate_kernel_impl(a, &options),
+            |a| hetero_eliminate_kernel_impl(a, &self.options, ctx.num_threads()),
             |native, stats| {
                 stats.windows = native.partitions;
                 stats.tried = native.partitions;
@@ -524,7 +504,7 @@ impl Engine for Hetero {
 /// The gradient-based move scheduler as an [`Engine`].
 #[derive(Debug, Clone, Default)]
 pub struct Gradient {
-    /// Scheduler options (`num_threads` is raised to the context's).
+    /// Scheduler options.
     pub options: GradientOptions,
 }
 
@@ -534,11 +514,9 @@ impl Engine for Gradient {
     }
 
     fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
-        let mut options = self.options.clone();
-        options.num_threads = options.num_threads.max(ctx.num_threads());
         timed(
             aig,
-            |a| gradient_optimize_filtered(a, &options, ctx.budget(), ctx.sim()),
+            |a| gradient_optimize_filtered(a, &self.options, ctx),
             |native, stats| {
                 for (_, record) in &native.records {
                     stats.tried += record.tried as usize;
@@ -631,9 +609,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_are_unique() {
+    fn engines_have_unique_names() {
         let engines = all_engines();
-        let mut names: Vec<&str> = engines.iter().map(Engine::name).collect();
+        let mut names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), engines.len());

@@ -10,13 +10,10 @@
 //! gradient is 0 over the last k iterations".
 
 use sbm_aig::Aig;
-use sbm_budget::Budget;
-use sbm_sim::SigService;
 
-use crate::engine::{self, Engine, EngineCtx, EngineResult, EngineStats};
+use crate::engine::{self, Engine, EngineCtx, EngineResult};
 use crate::hetero::HeteroOptions;
 use crate::mspf::MspfOptions;
-use crate::pipeline::pass;
 use crate::refactor::RefactorOptions;
 use crate::resub::ResubOptions;
 
@@ -117,44 +114,19 @@ impl Move {
         }
     }
 
-    /// Applies the move under `ctx`. With more than one thread and no
-    /// simulation service, window-based moves fan out through the
-    /// parallel partition executor ([`pass`]); otherwise the move runs
-    /// monolithically on the calling thread. Balancing and the
-    /// eliminate/kernel move never fan out (the latter sweeps its
-    /// thresholds on internal threads instead).
+    /// Applies the move under `ctx`: one monolithic run over the whole
+    /// network on the calling thread. Moves are never windowed — the
+    /// windowed fan-out would produce different (window-clipped) moves —
+    /// so a move's result is the same at every thread count; parallelism
+    /// comes from the script's own windowed steps.
     ///
-    /// With the signature service active the move stays monolithic at
-    /// *every* thread count: the windowed fan-out produces different
-    /// (weaker, window-clipped) BDD moves and different filter counters
-    /// than the monolithic pass, so routing by thread count would make
-    /// both the result and the sim-filter tallies depend on the thread
-    /// count. Parallelism still comes from the script's own windowed
-    /// steps.
-    ///
-    /// The result's [`EngineStats::bailouts`] counts the BDD node-limit
-    /// bailouts of the mspf/bdiff moves (always 0 for algebraic moves),
-    /// so the gradient engine's ledger covers its inner invocations.
+    /// The result's
+    /// [`EngineStats::bailouts`](crate::engine::EngineStats::bailouts)
+    /// counts the BDD node-limit bailouts of the mspf/bdiff moves (always
+    /// 0 for algebraic moves), so the gradient engine's ledger covers its
+    /// inner invocations.
     pub fn apply(self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
-        let windowed = !matches!(self, Move::Balance | Move::EliminateKernel { .. });
-        if !windowed || ctx.num_threads() <= 1 || ctx.sim().is_some() {
-            return self.engine().optimize(aig, ctx);
-        }
-        let run = pass(aig, self.engine(), ctx);
-        // The inner report is discarded here — note its BDD/SAT/sim
-        // tallies back into this thread's accumulators so the work still
-        // surfaces in the scheduler's enclosing scope.
-        crate::bdd_bridge::note_bdd_tally(&run.stats.bdd);
-        sbm_sat::note_sat_tally(&run.stats.sat);
-        sbm_sim::note_sim_tally(&run.stats.sim);
-        let mut stats = EngineStats::default();
-        for (_, s) in &run.stats.engines {
-            stats.merge(s);
-        }
-        EngineResult {
-            aig: run.aig,
-            stats,
-        }
+        self.engine().optimize(aig, ctx)
     }
 }
 
@@ -202,9 +174,6 @@ pub struct GradientOptions {
     pub budget_extension: u32,
     /// Move selection policy.
     pub selection: Selection,
-    /// Worker threads for move application (1 = strictly serial); see
-    /// [`Move::apply`].
-    pub num_threads: usize,
 }
 
 impl Default for GradientOptions {
@@ -215,7 +184,6 @@ impl Default for GradientOptions {
             min_gain_gradient: 0.03,
             budget_extension: 50,
             selection: Selection::Waterfall,
-            num_threads: 1,
         }
     }
 }
@@ -251,15 +219,21 @@ pub struct GradientStats {
 
 #[cfg(test)]
 pub(crate) fn gradient_optimize_impl(aig: &Aig, options: &GradientOptions) -> (Aig, GradientStats) {
-    gradient_optimize_filtered(aig, options, &Budget::unlimited(), None)
+    gradient_optimize_filtered(
+        aig,
+        options,
+        &EngineCtx::new(&sbm_budget::Budget::unlimited()),
+    )
 }
 
+/// Runs the gradient scheduler under the caller's `ctx`: its budget
+/// bounds the run, and every move runs under it (see [`Move::apply`]).
 pub(crate) fn gradient_optimize_filtered(
     aig: &Aig,
     options: &GradientOptions,
-    budget: &Budget,
-    sim: Option<&SigService>,
+    ctx: &EngineCtx<'_>,
 ) -> (Aig, GradientStats) {
+    let budget = ctx.budget();
     let mut current = aig.cleanup();
     let mut stats = GradientStats {
         records: all_moves()
@@ -274,10 +248,6 @@ pub(crate) fn gradient_optimize_filtered(
     // The cost tier currently unlocked: cheap moves first (paper: "the
     // optimization engine starts by trying unit cost moves").
     let mut unlocked_cost = 1u32;
-    let ctx = EngineCtx::new(budget)
-        .with_threads(options.num_threads)
-        .with_sim(sim);
-
     while spent < cost_budget {
         // The wall-clock budget overrides the cost budget: a deadline or
         // cancellation ends the run with the best network found so far.
@@ -321,7 +291,7 @@ pub(crate) fn gradient_optimize_filtered(
             let EngineResult {
                 aig: result,
                 stats: move_stats,
-            } = mv.apply(&current, &ctx);
+            } = mv.apply(&current, ctx);
             spent += mv.cost();
             let gain = size_before.saturating_sub(result.num_ands());
             let Some((_, rec)) = stats.records.iter_mut().find(|(mm, _)| *mm == mv) else {

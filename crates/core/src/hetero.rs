@@ -31,8 +31,6 @@ pub struct HeteroOptions {
     pub thresholds: Vec<i64>,
     /// Extraction rounds after elimination.
     pub extract_rounds: usize,
-    /// Evaluate thresholds on parallel threads.
-    pub parallel: bool,
 }
 
 impl Default for HeteroOptions {
@@ -45,7 +43,6 @@ impl Default for HeteroOptions {
             },
             thresholds: DEFAULT_THRESHOLDS.to_vec(),
             extract_rounds: 20,
-            parallel: true,
         }
     }
 }
@@ -109,9 +106,13 @@ fn optimize_with_threshold(
     (candidate.num_lits(), candidate)
 }
 
+/// Runs the pass; with `num_threads > 1` each partition's threshold
+/// ladder is evaluated on scoped threads (the result is the same either
+/// way).
 pub(crate) fn hetero_eliminate_kernel_impl(
     aig: &Aig,
     options: &HeteroOptions,
+    num_threads: usize,
 ) -> (Aig, HeteroStats) {
     let mut work = aig.cleanup();
     let mut stats = HeteroStats::default();
@@ -126,7 +127,7 @@ pub(crate) fn hetero_eliminate_kernel_impl(
         };
 
         // Sweep the threshold ladder — in parallel when enabled.
-        let results: Vec<(usize, SopNetwork)> = if options.parallel {
+        let results: Vec<(usize, SopNetwork)> = if num_threads > 1 {
             // sbm-lint: allow(C001) scoped fork-join over an immutable network; results are re-ordered by threshold index, so scheduling cannot leak into output
             std::thread::scope(|scope| {
                 let handles: Vec<_> = options
@@ -256,7 +257,7 @@ mod tests {
     fn extracts_shared_kernels_across_outputs() {
         let aig = kernel_rich_aig();
         let before = aig.num_ands();
-        let (optimized, stats) = hetero_eliminate_kernel_impl(&aig, &HeteroOptions::default());
+        let (optimized, stats) = hetero_eliminate_kernel_impl(&aig, &HeteroOptions::default(), 2);
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent
@@ -271,14 +272,8 @@ mod tests {
     #[test]
     fn sequential_matches_parallel() {
         let aig = kernel_rich_aig();
-        let (par, _) = hetero_eliminate_kernel_impl(&aig, &HeteroOptions::default());
-        let (seq, _) = hetero_eliminate_kernel_impl(
-            &aig,
-            &HeteroOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
+        let (par, _) = hetero_eliminate_kernel_impl(&aig, &HeteroOptions::default(), 2);
+        let (seq, _) = hetero_eliminate_kernel_impl(&aig, &HeteroOptions::default(), 1);
         assert_eq!(par.num_ands(), seq.num_ands());
         assert_eq!(MiterOracle::new().check(&par, &seq), Verdict::Equivalent);
     }
@@ -293,7 +288,7 @@ mod tests {
         let x = aig.xor(a, c);
         let f = aig.and(m, x);
         aig.add_output(f);
-        let (optimized, _) = hetero_eliminate_kernel_impl(&aig, &HeteroOptions::default());
+        let (optimized, _) = hetero_eliminate_kernel_impl(&aig, &HeteroOptions::default(), 2);
         assert!(optimized.num_ands() <= aig.num_ands());
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),

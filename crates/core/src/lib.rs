@@ -19,12 +19,14 @@
 //! The top-level entry points live in [`script`]: [`script::resyn2rs`]
 //! (the ABC-style baseline the paper compares against) and
 //! [`script::sbm_script_report`] (the paper's Boolean resynthesis flow,
-//! Section V-A). A single engine runs over a whole network through
-//! [`pipeline::pass`], which fans its windows out over worker threads.
+//! Section V-A). Each windowed script step runs its engine over the whole
+//! network through [`pipeline::pass`], which fans the windows out over
+//! worker threads; every setting of a pass comes from its
+//! [`engine::EngineCtx`].
 //!
 //! Every entry point can run in *checked mode*
 //! ([`CheckLevel::Boundaries`] or [`CheckLevel::Paranoid`], via
-//! [`pipeline::PipelineOptions::check_level`] /
+//! [`engine::EngineCtx::check_level`] /
 //! [`script::SbmOptions::check_level`]): engine invocations are then
 //! bracketed by the structural invariant checks of [`sbm_check`] plus a
 //! 64-pattern simulation spot-check, and any violation is reported with
@@ -32,7 +34,7 @@
 //! ([`engine::CheckViolation`]).
 //!
 //! Execution is fault-tolerant: a wall-clock deadline or cancellation
-//! ([`sbm_budget::Budget`], via [`pipeline::PipelineOptions::budget`] /
+//! ([`sbm_budget::Budget`], via [`engine::EngineCtx::budget`] /
 //! [`script::SbmOptions::deadline`]) stops engines cooperatively, window
 //! panics are caught and degraded to the original sub-network, failed
 //! attempts are retried once at reduced effort, and everything is tallied

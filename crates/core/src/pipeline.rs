@@ -3,25 +3,25 @@
 //! The paper's engines are all *windowed*: they evaluate Boolean
 //! transformations "locally on limited size circuit partitions"
 //! (Section III-B), which makes the partitions natural units of parallel
-//! work. This module implements that idea end to end:
+//! work. [`pass`] implements that idea end to end for one engine:
 //!
 //! 1. **Extract** — the network is split into disjoint windows by
 //!    [`sbm_aig::window::partition`] and each viable window is copied out
 //!    as a standalone AIG ([`Partition::extract`]);
 //! 2. **Optimize** — windows are fanned out to a scoped worker pool
 //!    ([`std::thread::scope`]); each worker claims windows from a shared
-//!    atomic cursor and runs the configured [`Engine`] sequence on its
-//!    window, with BDD managers recycled through the worker's thread-local
-//!    pool ([`crate::bdd_bridge::pooled_manager`]);
+//!    atomic cursor and runs the [`Engine`] on its window, with BDD
+//!    managers recycled through the worker's thread-local pool
+//!    ([`crate::bdd_bridge::pooled_manager`]);
 //! 3. **Stitch** — accepted rewrites are spliced back serially, guarded by
 //!    a functional-equivalence gate (simulation signatures plus a budgeted
-//!    SAT miter, [`crate::verify::equivalent_within`]) and a
+//!    SAT miter, [`crate::verify::equivalent_within_budgeted_sim`]) and a
 //!    created-versus-saved node count.
 //!
 //! The result is deterministic: workers only transform private window
 //! copies, outcomes are collected by window index, and stitching happens
-//! in partition order — so `num_threads = 4` produces the same network as
-//! `num_threads = 1`, only faster.
+//! in partition order — so four worker threads produce the same network
+//! as one, only faster.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -33,83 +33,20 @@ use std::time::Duration;
 use sbm_aig::window::{partition, Partition, PartitionOptions};
 use sbm_aig::{Aig, Lit, NodeId};
 use sbm_bdd::BddTally;
-use sbm_budget::Budget;
-use sbm_check::{check_aig, inject_panic, sim_spot_check, CheckLevel, FaultKind, FaultPlan};
+use sbm_check::{check_aig, inject_panic, sim_spot_check, FaultKind};
 use sbm_journal::ResumeSummary;
 use sbm_metrics::{
     BddCounters, EngineFaultCounters, EngineReport, FaultReport, Histogram, PhaseMicros,
     ResumeReport, RunReport, SatCounters, SimFilterCounters, Timer, WindowReport,
 };
 use sbm_sat::{drain_sat_tally, note_sat_tally, SatTally};
-use sbm_sim::{drain_sim_tally, note_sim_tally, SigService, SimTally};
+use sbm_sim::{drain_sim_tally, note_sim_tally, SimTally};
 
 use crate::bdd_bridge::{drain_bdd_tally, note_bdd_tally};
 use crate::engine::{
     run_checked, CheckViolation, Engine, EngineCtx, EngineStats, Optimized, SPOT_CHECK_SEED,
 };
 use crate::verify::equivalent_within_budgeted_sim;
-
-/// Knobs of the parallel partition executor.
-#[derive(Debug, Clone)]
-pub struct PipelineOptions {
-    /// Worker threads (1 = run the whole pipeline serially).
-    pub num_threads: usize,
-    /// Window extraction limits.
-    pub partition: PartitionOptions,
-    /// Windows with fewer internal nodes are skipped outright.
-    pub min_window: usize,
-    /// Gate every accepted window rewrite with a functional-equivalence
-    /// check before stitching.
-    pub verify_windows: bool,
-    /// SAT conflict budget of the per-window equivalence gate; rewrites
-    /// the solver cannot prove within the budget are rejected.
-    pub conflict_budget: u64,
-    /// Invariant-checking level: `Off` (default) adds no work,
-    /// `Boundaries` validates the run's input and output networks,
-    /// `Paranoid` additionally brackets every engine invocation inside
-    /// every window with [`run_checked`]. Violations are collected in
-    /// [`PipelineReport::check_violations`]; a violating rewrite is
-    /// discarded, never stitched.
-    pub check_level: CheckLevel,
-    /// Wall-clock deadline and cancellation of the run, shared with the
-    /// caller so several passes can be cancelled or deadlined as one unit
-    /// (see [`Budget::with_deadline`]). An expired budget never aborts the
-    /// run: engines stop cooperatively, in-flight windows degrade to their
-    /// original sub-network, and the pipeline stitches whatever completed
-    /// in time.
-    pub budget: Budget,
-    /// Deterministic fault-injection plan for robustness testing
-    /// (`None` = no injection, the production default). See
-    /// [`sbm_check::FaultPlan`].
-    pub fault_plan: Option<FaultPlan>,
-    /// Shared simulation-signature service (`None` = no filtering).
-    /// When set, engines that support it filter resubstitution
-    /// candidates by signature before any BDD/SAT work, the window
-    /// equivalence gate screens through the service's pattern set, and
-    /// refuted gate checks feed their SAT witnesses back into the
-    /// service's pending pool. The pipeline itself never commits pending
-    /// counterexamples — that is the service owner's job at a true
-    /// serial boundary (script steps do it between steps), because a
-    /// nested pass (e.g. a gradient move) finishing is *not* a serial
-    /// point of the enclosing run.
-    pub sim: Option<SigService>,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            num_threads: 1,
-            partition: PartitionOptions::default(),
-            min_window: 4,
-            verify_windows: true,
-            conflict_budget: 10_000,
-            check_level: CheckLevel::Off,
-            budget: Budget::unlimited(),
-            fault_plan: None,
-            sim: None,
-        }
-    }
-}
 
 /// Per-engine fault counters of one pipeline run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -122,9 +59,9 @@ pub struct FaultCounts {
     pub deadline_hits: usize,
     /// BDD node-limit bailouts, mirrored from [`EngineStats::bailouts`].
     pub bailouts: usize,
-    /// Forced bailouts injected by the [`FaultPlan`].
+    /// Forced bailouts injected by the [`FaultPlan`](sbm_check::FaultPlan).
     pub injected_bailouts: usize,
-    /// Delays injected by the [`FaultPlan`].
+    /// Delays injected by the [`FaultPlan`](sbm_check::FaultPlan).
     pub delays: usize,
     /// Failed first attempts that were retried at reduced effort.
     pub retries: usize,
@@ -150,8 +87,9 @@ impl FaultCounts {
     }
 }
 
-/// One fault injected by the configured [`FaultPlan`] — the run's ledger,
-/// against which tests verify that [`FaultSummary`] bookkeeping is exact.
+/// One fault injected by the configured
+/// [`FaultPlan`](sbm_check::FaultPlan) — the run's ledger, against which
+/// tests verify that [`FaultSummary`] bookkeeping is exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectedFault {
     /// Engine the fault was injected into.
@@ -174,8 +112,9 @@ pub struct FaultSummary {
     /// Windows degraded to their original sub-network after both attempts
     /// of some engine failed (or the deadline expired mid-window).
     pub degraded_windows: usize,
-    /// Every fault the [`FaultPlan`] actually injected, in the order the
-    /// windows were claimed. Empty without a plan.
+    /// Every fault the [`FaultPlan`](sbm_check::FaultPlan) actually
+    /// injected, in the order the windows were claimed. Empty without a
+    /// plan.
     pub injected: Vec<InjectedFault>,
 }
 
@@ -238,14 +177,15 @@ struct WindowCounters {
     improved: usize,
 }
 
-/// Observability record of one [`Pipeline::run`].
+/// Observability record of one [`pass`], or of several merged (a script
+/// run merges the report of every step).
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
     /// Windows produced by partitioning.
     pub windows_total: usize,
-    /// Windows below `min_window`, without roots, or not extractable.
+    /// Windows below the minimum size, without roots, or not extractable.
     pub windows_skipped: usize,
-    /// Windows where the engine sequence found no improvement.
+    /// Windows where the engine found no improvement.
     pub windows_unchanged: usize,
     /// Windows whose rewrite failed the functional-equivalence gate.
     pub windows_gate_rejected: usize,
@@ -256,12 +196,12 @@ pub struct PipelineReport {
     pub windows_improved: usize,
     /// AND nodes saved by stitched windows (pre-cleanup estimate).
     pub nodes_saved: usize,
-    /// Per-engine statistics, in chain order, merged across all windows.
-    /// [`EngineStats::busy`] sums per-invocation busy time over all
-    /// workers, so it can exceed `optimize_wall` when `num_threads > 1`;
+    /// Per-engine statistics, in first-run order, merged across all
+    /// windows. [`EngineStats::busy`] sums per-invocation busy time over
+    /// all workers, so it can exceed `optimize_wall` with several threads;
     /// the `*_wall` phase fields below are true elapsed wall-clock.
     pub engines: Vec<(String, EngineStats)>,
-    /// Per-engine invocation-latency histograms, in chain order
+    /// Per-engine invocation-latency histograms, in first-run order
     /// (power-of-two microsecond buckets; one sample per completed
     /// engine invocation).
     pub engine_latency: Vec<(String, Histogram)>,
@@ -276,7 +216,7 @@ pub struct PipelineReport {
     /// Simulation-filter counters accumulated across the run: candidates
     /// rejected/passed by signature screening, counterexamples harvested
     /// from refuted gate checks, and network resimulations. All-zero
-    /// when [`PipelineOptions::sim`] is unset.
+    /// when the run's [`EngineCtx`] carries no simulation service.
     pub sim: SimTally,
     /// Wall-clock of the window-extraction phase.
     pub extract_wall: Duration,
@@ -286,8 +226,8 @@ pub struct PipelineReport {
     pub stitch_wall: Duration,
     /// End-to-end wall-clock of the run.
     pub total_wall: Duration,
-    /// Invariant violations caught by the configured
-    /// [`PipelineOptions::check_level`], in detection order: each names
+    /// Invariant violations caught at the [`EngineCtx::check_level`] of
+    /// the run, in detection order: each names
     /// the engine (or `"pipeline"` for run boundaries), the stage and,
     /// for `Paranoid`, the window that first violated an invariant.
     pub check_violations: Vec<CheckViolation>,
@@ -570,15 +510,30 @@ impl fmt::Display for PipelineReport {
     }
 }
 
+/// Window limits of [`pass`], sized for full-strength engine passes
+/// (each window is re-partitioned by the engine's own options).
+const WINDOW_LIMITS: PartitionOptions = PartitionOptions {
+    max_nodes: 300,
+    max_inputs: 12,
+    max_levels: 16,
+};
+
+/// Windows with fewer internal nodes are skipped outright.
+const MIN_WINDOW: usize = 2;
+
+/// SAT conflict budget of the per-window equivalence gate; rewrites the
+/// solver cannot prove within the budget are rejected.
+const GATE_CONFLICT_BUDGET: u64 = 10_000;
+
 /// What one worker produced for one window.
 struct WindowOutcome {
-    /// The accepted rewrite (smaller and, if gating is on, proved
-    /// equivalent); `None` when the window stays as-is.
+    /// The accepted rewrite (smaller and proved equivalent); `None` when
+    /// the window stays as-is.
     rewrite: Option<Aig>,
     gate_rejected: bool,
-    per_engine: Vec<EngineStats>,
-    /// Per-engine invocation latency, aligned with `per_engine`.
-    latency: Vec<Histogram>,
+    stats: EngineStats,
+    /// Latency of the window's completed engine invocations.
+    latency: Histogram,
     /// BDD counters drained from the worker's thread-local pool when the
     /// window finished — per-window drains make the totals identical for
     /// every thread count.
@@ -588,524 +543,423 @@ struct WindowOutcome {
     /// Simulation-filter counters drained from the worker's thread-local
     /// tally.
     sim: SimTally,
-    /// Invariant violations from `Paranoid` per-engine bracketing
-    /// (empty below that level).
+    /// Invariant violations from `Paranoid` engine bracketing (empty
+    /// below that level).
     violations: Vec<CheckViolation>,
     /// This window's contribution to [`PipelineReport::fault`].
     fault: FaultSummary,
 }
 
-/// A configurable engine sequence scheduled over disjoint windows.
-pub struct Pipeline {
-    engines: Vec<Box<dyn Engine>>,
-    options: PipelineOptions,
-}
-
-impl Pipeline {
-    /// An empty pipeline (no engines) with the given options.
-    pub fn new(options: PipelineOptions) -> Self {
-        Pipeline {
-            engines: Vec::new(),
-            options,
-        }
-    }
-
-    /// Appends an engine to the per-window sequence (builder style).
-    #[must_use]
-    pub fn with_engine(mut self, engine: impl Engine + 'static) -> Self {
-        self.engines.push(Box::new(engine));
-        self
-    }
-
-    /// The configured engine names, in chain order.
-    pub fn engine_names(&self) -> Vec<&str> {
-        self.engines.iter().map(Engine::name).collect()
-    }
-
-    /// Runs the extract → optimize → stitch pipeline. The result is never
-    /// larger than the input and identical for every `num_threads`.
-    pub fn run(&self, aig: &Aig) -> Optimized<PipelineReport> {
-        let total_timer = Timer::start();
-        let mut report = PipelineReport::default();
-
-        // Boundary pre-check runs on the RAW input, before cleanup:
-        // cleanup itself resolves replacement chains and would loop on a
-        // corrupted redirection map. A corrupt input is returned as-is —
-        // there is nothing safe the pipeline can do with it.
-        if self.options.check_level.at_boundaries() {
-            if let Err(error) = check_aig(aig) {
-                report.check_violations.push(CheckViolation {
-                    engine: "pipeline".to_string(),
-                    stage: "pre",
-                    window: None,
-                    error,
-                });
-                report.total_wall = total_timer.stop();
-                return Optimized {
-                    aig: aig.clone(),
-                    stats: report,
-                };
-            }
-        }
-        let work = aig.cleanup();
-        let mut counters = WindowCounters::default();
-
-        // Phase 1: extract windows.
-        let extract_timer = Timer::start();
-        let parts = partition(&work, &self.options.partition);
-        report.windows_total = parts.len();
-        let mut jobs: Vec<(usize, Aig)> = Vec::new();
-        for (i, part) in parts.iter().enumerate() {
-            if part.size() < self.options.min_window
-                || part.leaves.is_empty()
-                || part.roots.is_empty()
-            {
-                counters.skipped += 1;
-                continue;
-            }
-            match part.extract(&work) {
-                Some(sub) => jobs.push((i, sub)),
-                None => counters.skipped += 1,
-            }
-        }
-        report.extract_wall = extract_timer.stop();
-
-        // Phase 2: optimize windows on the worker pool, under the shared
-        // wall-clock budget.
-        let optimize_timer = Timer::start();
-        let outcomes = self.optimize_windows(&jobs);
-        report.optimize_wall = optimize_timer.stop();
-
-        // Phase 3: stitch accepted rewrites back, serially and in window
-        // order (deterministic regardless of worker scheduling).
-        let stitch_timer = Timer::start();
-        let input = self
-            .options
-            .check_level
-            .at_boundaries()
-            .then(|| work.clone());
-        let mut work = work;
-        let mut per_engine = vec![EngineStats::default(); self.engines.len()];
-        let mut latency = vec![Histogram::default(); self.engines.len()];
-        for ((part_idx, sub), outcome) in jobs.iter().zip(outcomes) {
-            for (total, s) in per_engine.iter_mut().zip(&outcome.per_engine) {
-                total.merge(s);
-            }
-            for (total, h) in latency.iter_mut().zip(&outcome.latency) {
-                total.merge(h);
-            }
-            report.bdd.merge(&outcome.bdd);
-            report.sat.merge(&outcome.sat);
-            report.sim.merge(&outcome.sim);
-            report.check_violations.extend(outcome.violations);
-            report.fault.merge(&outcome.fault);
-            if outcome.gate_rejected {
-                counters.gate_rejected += 1;
-                continue;
-            }
-            let Some(rewrite) = outcome.rewrite else {
-                counters.unchanged += 1;
-                continue;
-            };
-            let part = &parts[*part_idx];
-            match stitch_window(&mut work, part, &rewrite, sub.num_ands()) {
-                Some(saved) => {
-                    counters.improved += 1;
-                    report.nodes_saved += saved;
-                }
-                None => counters.stitch_rejected += 1,
-            }
-        }
-        let mut result = work.cleanup();
-
-        // Boundary post-check: the stitched network must itself satisfy
-        // every AIG invariant and agree with the input on 64 random
-        // patterns. A violating result is discarded in favor of the
-        // (already validated) cleaned input.
-        if let Some(input) = input {
-            let error =
-                check_aig(&result).and_then(|()| sim_spot_check(&input, &result, SPOT_CHECK_SEED));
-            if let Err(error) = error {
-                let stage = if error.code == sbm_check::CheckCode::SimMismatch {
-                    "sim"
-                } else {
-                    "post"
-                };
-                report.check_violations.push(CheckViolation {
-                    engine: "pipeline".to_string(),
-                    stage,
-                    window: None,
-                    error,
-                });
-                result = input;
-            }
-        }
-        report.stitch_wall = stitch_timer.stop();
-
-        report.windows_skipped = counters.skipped;
-        report.windows_unchanged = counters.unchanged;
-        report.windows_gate_rejected = counters.gate_rejected;
-        report.windows_stitch_rejected = counters.stitch_rejected;
-        report.windows_improved = counters.improved;
-        report.engines = self
-            .engines
-            .iter()
-            .zip(per_engine)
-            .map(|(e, s)| (e.name().to_string(), s))
-            .collect();
-        report.engine_latency = self
-            .engines
-            .iter()
-            .zip(latency)
-            .map(|(e, h)| (e.name().to_string(), h))
-            .collect();
-        // Mirror each engine's genuine node-limit bailouts into the fault
-        // summary, so one record covers both injected and organic faults.
-        for (name, stats) in &report.engines {
-            if stats.bailouts > 0 {
-                report.fault.counts_mut(name).bailouts += stats.bailouts;
-            }
-        }
-        report.total_wall = total_timer.stop();
-
-        // Never-worse guard at the network level.
-        if result.num_ands() <= aig.num_ands() {
-            Optimized {
-                aig: result,
-                stats: report,
-            }
-        } else {
-            Optimized {
-                aig: aig.cleanup(),
-                stats: report,
-            }
-        }
-    }
-
-    /// Runs every job through the engine chain; outcome `i` belongs to
-    /// job `i` whichever thread processed it.
-    fn optimize_windows(&self, jobs: &[(usize, Aig)]) -> Vec<WindowOutcome> {
-        let budget = &self.options.budget;
-        let threads = self.options.num_threads.max(1).min(jobs.len().max(1));
-        if threads <= 1 {
-            return jobs
-                .iter()
-                .map(|(part_idx, sub)| self.optimize_window_isolated(sub, *part_idx, budget))
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<WindowOutcome>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some((part_idx, sub)) = jobs.get(i) else {
-                        break;
-                    };
-                    let outcome = self.optimize_window_isolated(sub, *part_idx, budget);
-                    // Workers never unwind (optimize_window_isolated
-                    // catches and degrades), so the lock cannot be
-                    // poisoned by a sibling; into_inner keeps the write
-                    // sound even if that invariant ever breaks.
-                    *slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                match slot
-                    .into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                {
-                    Some(outcome) => outcome,
-                    // The cursor hands out each index exactly once and
-                    // every worker runs its claimed window to an outcome
-                    // (faults degrade, they don't unwind).
-                    None => unreachable!("worker left a window unprocessed"),
-                }
-            })
-            .collect()
-    }
-
-    /// [`Pipeline::optimize_window`] behind a last-resort panic barrier:
-    /// if anything below unwinds past the per-engine isolation (stitch
-    /// preparation, bookkeeping, a non-engine bug), the window degrades to
-    /// its original sub-network and the fault is attributed to
-    /// `"pipeline"` — one window can never take down the run.
-    fn optimize_window_isolated(
-        &self,
-        sub: &Aig,
-        part_idx: usize,
-        budget: &Budget,
-    ) -> WindowOutcome {
-        // Attribution boundary: set the thread's accumulators aside so
-        // the window's exit drains measure exactly one window, then hand
-        // the residue back afterwards. Simply discarding it would be
-        // wrong at `num_threads = 1`, where windows run inline on the
-        // caller's thread and the residue is the *caller's* pending
-        // tally (e.g. the gradient scheduler between moves) — losing it
-        // would make the run's counters depend on the thread count.
-        let outer_bdd = drain_bdd_tally();
-        let outer_sat = drain_sat_tally();
-        let outer_sim = drain_sim_tally();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.optimize_window(sub, part_idx, budget)
-        }))
-        .unwrap_or_else(|_| {
-            let mut fault = FaultSummary::default();
-            fault.counts_mut("pipeline").panics += 1;
-            fault.degraded_windows += 1;
-            WindowOutcome {
-                rewrite: None,
-                gate_rejected: false,
-                per_engine: vec![EngineStats::default(); self.engines.len()],
-                latency: vec![Histogram::default(); self.engines.len()],
-                // The interrupted window's partial tallies are discarded
-                // below, so degraded work is never attributed.
-                bdd: BddTally::default(),
-                sat: SatTally::default(),
-                sim: SimTally::default(),
-                violations: Vec::new(),
-                fault,
-            }
-        });
-        // Normal exits leave the accumulators zeroed (the outcome drains
-        // them); an unwound window leaves partial junk — drop it either
-        // way before restoring the caller's residue.
-        let _ = drain_bdd_tally();
-        let _ = drain_sat_tally();
-        let _ = drain_sim_tally();
-        note_bdd_tally(&outer_bdd);
-        note_sat_tally(&outer_sat);
-        note_sim_tally(&outer_sim);
-        outcome
-    }
-
-    /// Runs the engine chain on one window copy. Engines inside a worker
-    /// are strictly serial — parallelism comes from window fan-out. At
-    /// [`CheckLevel::Paranoid`] every engine invocation is bracketed by
-    /// [`run_checked`], attributing any violation to this window.
-    ///
-    /// Every engine invocation is isolated: a panic is caught, a failed
-    /// attempt is retried once at reduced effort ([`Engine::reduced_effort`]),
-    /// and a second failure degrades the whole window to its original
-    /// sub-network. An expired deadline stops the chain the same way.
-    fn optimize_window(&self, sub: &Aig, part_idx: usize, budget: &Budget) -> WindowOutcome {
-        // The caller ([`Pipeline::optimize_window_isolated`]) has already
-        // zeroed the thread's BDD/SAT/sim accumulators, so the exit
-        // drains below measure exactly one window.
-        // Engines inside a worker run serially; window fan-out is the
-        // parallelism, so the per-engine context always says 1 thread.
-        let ctx = EngineCtx::new(budget)
-            .with_check_level(self.options.check_level)
-            .with_fault_plan(self.options.fault_plan.as_ref())
-            .with_sim(self.options.sim.as_ref());
-        let mut per_engine = vec![EngineStats::default(); self.engines.len()];
-        let mut latency = vec![Histogram::default(); self.engines.len()];
-        let mut violations = Vec::new();
-        let mut fault = FaultSummary::default();
-        let paranoid = self.options.check_level.per_engine();
-        let mut cur = sub.clone();
-        let mut degraded = false;
-        for ((stats, hist), engine) in per_engine.iter_mut().zip(&mut latency).zip(&self.engines) {
-            let name = engine.name();
-            if budget.check().is_err() {
-                fault.counts_mut(name).deadline_hits += 1;
-                degraded = true;
-                break;
-            }
-            // Attempt 0 runs the engine as configured; a failure is
-            // retried once (attempt 1) on the engine's reduced-effort
-            // ladder rung, or on the engine itself if it has none.
-            let mut completed = None;
-            for attempt in 0..2u8 {
-                let reduced;
-                let invoked: &dyn Engine = if attempt == 0 {
-                    engine.as_ref()
-                } else {
-                    fault.counts_mut(name).retries += 1;
-                    match engine.reduced_effort() {
-                        Some(r) => {
-                            reduced = r;
-                            reduced.as_ref()
-                        }
-                        None => engine.as_ref(),
-                    }
-                };
-                match self.run_isolated(
-                    invoked,
-                    name,
-                    &cur,
-                    &ctx,
-                    part_idx,
-                    attempt,
-                    budget,
-                    stats,
-                    hist,
-                    &mut violations,
-                    &mut fault,
-                    paranoid,
-                ) {
-                    Invocation::Completed(result) => {
-                        completed = Some(result);
-                        if attempt == 1 {
-                            fault.counts_mut(name).retry_successes += 1;
-                        }
-                        break;
-                    }
-                    Invocation::Failed => {}
-                    Invocation::DeadlineHit => {
-                        degraded = true;
-                        break;
-                    }
-                }
-            }
-            if degraded {
-                break;
-            }
-            match completed {
-                // Guarded acceptance: an engine that grows the window is
-                // undone.
-                Some(result) => {
-                    if result.num_ands() <= cur.num_ands() {
-                        cur = result;
-                    }
-                }
-                // Both attempts failed: degrade the window.
-                None => {
-                    degraded = true;
-                    break;
-                }
-            }
-        }
-        if degraded {
-            fault.degraded_windows += 1;
-        }
-        if degraded || cur.num_ands() >= sub.num_ands() {
-            return WindowOutcome {
-                rewrite: None,
-                gate_rejected: false,
-                per_engine,
-                latency,
-                bdd: drain_bdd_tally(),
-                sat: drain_sat_tally(),
-                sim: drain_sim_tally(),
-                violations,
-                fault,
-            };
-        }
-        if self.options.verify_windows
-            && !equivalent_within_budgeted_sim(
-                sub,
-                &cur,
-                self.options.conflict_budget,
-                budget,
-                self.options.sim.as_ref(),
-            )
-        {
-            return WindowOutcome {
-                rewrite: None,
-                gate_rejected: true,
-                per_engine,
-                latency,
-                bdd: drain_bdd_tally(),
-                sat: drain_sat_tally(),
-                sim: drain_sim_tally(),
-                violations,
-                fault,
-            };
-        }
+impl WindowOutcome {
+    /// An outcome that leaves the window as-is, with nothing attributed.
+    fn unchanged(fault: FaultSummary) -> Self {
         WindowOutcome {
-            rewrite: Some(cur),
+            rewrite: None,
             gate_rejected: false,
-            per_engine,
-            latency,
-            bdd: drain_bdd_tally(),
-            sat: drain_sat_tally(),
-            sim: drain_sim_tally(),
-            violations,
+            stats: EngineStats::default(),
+            latency: Histogram::default(),
+            bdd: BddTally::default(),
+            sat: SatTally::default(),
+            sim: SimTally::default(),
+            violations: Vec::new(),
             fault,
         }
     }
+}
 
-    /// One engine invocation inside a panic barrier, with deterministic
-    /// fault injection when a [`FaultPlan`] is configured. Never unwinds.
-    #[allow(clippy::too_many_arguments)]
-    fn run_isolated(
-        &self,
-        engine: &dyn Engine,
-        name: &str,
-        cur: &Aig,
-        ctx: &EngineCtx<'_>,
-        part_idx: usize,
-        attempt: u8,
-        budget: &Budget,
-        stats: &mut EngineStats,
-        latency: &mut Histogram,
-        violations: &mut Vec<CheckViolation>,
-        fault: &mut FaultSummary,
-        paranoid: bool,
-    ) -> Invocation {
-        // Roll the fault plan first: the roll is a pure function of
-        // (seed, window, engine, attempt), so the ledger is identical for
-        // every thread count.
-        let mut inject = None;
-        if let Some(plan) = &self.options.fault_plan {
-            if let Some(kind) = plan.roll(part_idx, name, attempt) {
-                fault.injected.push(InjectedFault {
-                    engine: name.to_string(),
-                    window: part_idx,
-                    attempt,
-                    kind,
-                });
-                match kind {
-                    FaultKind::Bailout => {
-                        fault.counts_mut(name).injected_bailouts += 1;
-                        return Invocation::Failed;
+/// Runs one engine over the whole network through the extract → optimize
+/// → stitch executor. Every setting of the run comes from `ctx`: worker
+/// threads, check level, budget, fault plan and simulation service. The
+/// result is never larger than the input and identical for every thread
+/// count.
+///
+/// At [`CheckLevel::Boundaries`](sbm_check::CheckLevel::Boundaries) and
+/// above the raw input and the stitched result are validated; `Paranoid`
+/// additionally brackets the engine invocation inside every window with
+/// [`run_checked`]. Violations are
+/// collected in [`PipelineReport::check_violations`]; a violating rewrite
+/// is discarded, never stitched. An expired or cancelled budget never
+/// aborts the run: the engine stops cooperatively, in-flight windows
+/// degrade to their original sub-network, and whatever completed in time
+/// is stitched.
+///
+/// The simulation service, when `ctx` carries one, filters the engine's
+/// candidates, screens the window equivalence gate, and collects refuted
+/// gate checks' SAT witnesses in its pending pool. `pass` never commits
+/// pending counterexamples — that is the service owner's job at a true
+/// serial boundary (script steps do it between steps).
+pub fn pass(aig: &Aig, engine: &dyn Engine, ctx: &EngineCtx<'_>) -> Optimized<PipelineReport> {
+    let total_timer = Timer::start();
+    let mut report = PipelineReport::default();
+    let check_level = ctx.check_level();
+
+    // Boundary pre-check runs on the RAW input, before cleanup: cleanup
+    // itself resolves replacement chains and would loop on a corrupted
+    // redirection map. A corrupt input is returned as-is — there is
+    // nothing safe the pass can do with it.
+    if check_level.at_boundaries() {
+        if let Err(error) = check_aig(aig) {
+            report.check_violations.push(CheckViolation {
+                engine: "pipeline".to_string(),
+                stage: "pre",
+                window: None,
+                error,
+            });
+            report.total_wall = total_timer.stop();
+            return Optimized {
+                aig: aig.clone(),
+                stats: report,
+            };
+        }
+    }
+    let work = aig.cleanup();
+    let mut counters = WindowCounters::default();
+
+    // Phase 1: extract windows.
+    let extract_timer = Timer::start();
+    let parts = partition(&work, &WINDOW_LIMITS);
+    report.windows_total = parts.len();
+    let mut jobs: Vec<(usize, Aig)> = Vec::new();
+    for (i, part) in parts.iter().enumerate() {
+        if part.size() < MIN_WINDOW || part.leaves.is_empty() || part.roots.is_empty() {
+            counters.skipped += 1;
+            continue;
+        }
+        match part.extract(&work) {
+            Some(sub) => jobs.push((i, sub)),
+            None => counters.skipped += 1,
+        }
+    }
+    report.extract_wall = extract_timer.stop();
+
+    // Phase 2: optimize windows on the worker pool, under the shared
+    // wall-clock budget.
+    let optimize_timer = Timer::start();
+    let outcomes = optimize_windows(engine, &jobs, ctx);
+    report.optimize_wall = optimize_timer.stop();
+
+    // Phase 3: stitch accepted rewrites back, serially and in window
+    // order (deterministic regardless of worker scheduling).
+    let stitch_timer = Timer::start();
+    let input = check_level.at_boundaries().then(|| work.clone());
+    let mut work = work;
+    let mut stats = EngineStats::default();
+    let mut latency = Histogram::default();
+    for ((part_idx, sub), outcome) in jobs.iter().zip(outcomes) {
+        stats.merge(&outcome.stats);
+        latency.merge(&outcome.latency);
+        report.bdd.merge(&outcome.bdd);
+        report.sat.merge(&outcome.sat);
+        report.sim.merge(&outcome.sim);
+        report.check_violations.extend(outcome.violations);
+        report.fault.merge(&outcome.fault);
+        if outcome.gate_rejected {
+            counters.gate_rejected += 1;
+            continue;
+        }
+        let Some(rewrite) = outcome.rewrite else {
+            counters.unchanged += 1;
+            continue;
+        };
+        let part = &parts[*part_idx];
+        match stitch_window(&mut work, part, &rewrite, sub.num_ands()) {
+            Some(saved) => {
+                counters.improved += 1;
+                report.nodes_saved += saved;
+            }
+            None => counters.stitch_rejected += 1,
+        }
+    }
+    let mut result = work.cleanup();
+
+    // Boundary post-check: the stitched network must itself satisfy every
+    // AIG invariant and agree with the input on 64 random patterns. A
+    // violating result is discarded in favor of the (already validated)
+    // cleaned input.
+    if let Some(input) = input {
+        let error =
+            check_aig(&result).and_then(|()| sim_spot_check(&input, &result, SPOT_CHECK_SEED));
+        if let Err(error) = error {
+            let stage = if error.code == sbm_check::CheckCode::SimMismatch {
+                "sim"
+            } else {
+                "post"
+            };
+            report.check_violations.push(CheckViolation {
+                engine: "pipeline".to_string(),
+                stage,
+                window: None,
+                error,
+            });
+            result = input;
+        }
+    }
+    report.stitch_wall = stitch_timer.stop();
+
+    report.windows_skipped = counters.skipped;
+    report.windows_unchanged = counters.unchanged;
+    report.windows_gate_rejected = counters.gate_rejected;
+    report.windows_stitch_rejected = counters.stitch_rejected;
+    report.windows_improved = counters.improved;
+    let name = engine.name();
+    // Mirror the engine's genuine node-limit bailouts into the fault
+    // summary, so one record covers both injected and organic faults.
+    if stats.bailouts > 0 {
+        report.fault.counts_mut(name).bailouts += stats.bailouts;
+    }
+    report.engines = vec![(name.to_string(), stats)];
+    report.engine_latency = vec![(name.to_string(), latency)];
+    report.total_wall = total_timer.stop();
+
+    // Never-worse guard at the network level.
+    let aig = if result.num_ands() <= aig.num_ands() {
+        result
+    } else {
+        aig.cleanup()
+    };
+    Optimized { aig, stats: report }
+}
+
+/// Runs every job through the engine; outcome `i` belongs to job `i`
+/// whichever thread processed it.
+fn optimize_windows(
+    engine: &dyn Engine,
+    jobs: &[(usize, Aig)],
+    ctx: &EngineCtx<'_>,
+) -> Vec<WindowOutcome> {
+    let threads = ctx.num_threads().max(1).min(jobs.len().max(1));
+    if threads <= 1 {
+        return jobs
+            .iter()
+            .map(|(part_idx, sub)| optimize_window_isolated(engine, sub, *part_idx, ctx))
+            .collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<WindowOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some((part_idx, sub)) = jobs.get(i) else {
+                    break;
+                };
+                let outcome = optimize_window_isolated(engine, sub, *part_idx, ctx);
+                // Workers never unwind (optimize_window_isolated catches
+                // and degrades), so the lock cannot be poisoned by a
+                // sibling; into_inner keeps the write sound even if that
+                // invariant ever breaks.
+                *slots[i]
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            match slot
+                .into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+            {
+                Some(outcome) => outcome,
+                // The cursor hands out each index exactly once and every
+                // worker runs its claimed window to an outcome (faults
+                // degrade, they don't unwind).
+                None => unreachable!("worker left a window unprocessed"),
+            }
+        })
+        .collect()
+}
+
+/// [`optimize_window`] behind a last-resort panic barrier: if anything
+/// below unwinds past the engine's own isolation (stitch preparation,
+/// bookkeeping, a non-engine bug), the window degrades to its original
+/// sub-network and the fault is attributed to `"pipeline"` — one window
+/// can never take down the run.
+fn optimize_window_isolated(
+    engine: &dyn Engine,
+    sub: &Aig,
+    part_idx: usize,
+    ctx: &EngineCtx<'_>,
+) -> WindowOutcome {
+    // Attribution boundary: set the thread's accumulators aside so the
+    // window's exit drains measure exactly one window, then hand the
+    // residue back afterwards. Simply discarding it would be wrong at one
+    // thread, where windows run inline on the caller's thread and the
+    // residue is the *caller's* pending tally — losing it would make the
+    // run's counters depend on the thread count.
+    let outer_bdd = drain_bdd_tally();
+    let outer_sat = drain_sat_tally();
+    let outer_sim = drain_sim_tally();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        optimize_window(engine, sub, part_idx, ctx)
+    }))
+    .unwrap_or_else(|_| {
+        // The interrupted window's partial tallies are discarded below,
+        // so degraded work is never attributed.
+        let mut fault = FaultSummary::default();
+        fault.counts_mut("pipeline").panics += 1;
+        fault.degraded_windows += 1;
+        WindowOutcome::unchanged(fault)
+    });
+    // Normal exits leave the accumulators zeroed (the outcome drains
+    // them); an unwound window leaves partial junk — drop it either way
+    // before restoring the caller's residue.
+    let _ = drain_bdd_tally();
+    let _ = drain_sat_tally();
+    let _ = drain_sim_tally();
+    note_bdd_tally(&outer_bdd);
+    note_sat_tally(&outer_sat);
+    note_sim_tally(&outer_sim);
+    outcome
+}
+
+/// Runs the engine on one window copy. The engine runs serially inside
+/// its worker — parallelism comes from window fan-out. At
+/// [`CheckLevel::Paranoid`](sbm_check::CheckLevel::Paranoid) the
+/// invocation is bracketed by [`run_checked`], attributing any violation
+/// to this window.
+///
+/// The invocation is isolated: a panic is caught, a failed attempt is
+/// retried once at reduced effort ([`Engine::reduced_effort`]), and a
+/// second failure degrades the window to its original sub-network. An
+/// expired deadline degrades it the same way.
+fn optimize_window(
+    engine: &dyn Engine,
+    sub: &Aig,
+    part_idx: usize,
+    ctx: &EngineCtx<'_>,
+) -> WindowOutcome {
+    // The caller ([`optimize_window_isolated`]) has already zeroed the
+    // thread's BDD/SAT/sim accumulators, so the exit drains below measure
+    // exactly one window.
+    let window_ctx = ctx.with_threads(1);
+    let budget = ctx.budget();
+    let name = engine.name();
+    let mut out = WindowOutcome::unchanged(FaultSummary::default());
+    let mut completed = None;
+    if budget.check().is_err() {
+        out.fault.counts_mut(name).deadline_hits += 1;
+    } else {
+        // Attempt 0 runs the engine as configured; a failure is retried
+        // once (attempt 1) on the engine's reduced-effort ladder rung, or
+        // on the engine itself if it has none.
+        for attempt in 0..2u8 {
+            let reduced;
+            let invoked: &dyn Engine = if attempt == 0 {
+                engine
+            } else {
+                out.fault.counts_mut(name).retries += 1;
+                match engine.reduced_effort() {
+                    Some(r) => {
+                        reduced = r;
+                        reduced.as_ref()
                     }
-                    FaultKind::Delay => {
-                        fault.counts_mut(name).delays += 1;
-                        std::thread::sleep(plan.delay);
-                    }
-                    FaultKind::Panic => inject = Some(kind),
+                    None => engine,
                 }
+            };
+            match run_isolated(invoked, name, sub, &window_ctx, part_idx, attempt, &mut out) {
+                Invocation::Completed(result) => {
+                    if attempt == 1 {
+                        out.fault.counts_mut(name).retry_successes += 1;
+                    }
+                    completed = Some(result);
+                    break;
+                }
+                Invocation::Failed => {}
+                Invocation::DeadlineHit => break,
             }
         }
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            if inject.is_some() {
-                // Injected *inside* the barrier so the test exercises the
-                // exact unwind path a genuine engine bug would take.
-                inject_panic();
-            }
-            if paranoid {
-                run_checked(engine, cur, ctx, Some(part_idx))
+    }
+    match completed {
+        // Guarded acceptance: only a strictly smaller window that passes
+        // the equivalence gate is a rewrite.
+        Some(result) if result.num_ands() < sub.num_ands() => {
+            if equivalent_within_budgeted_sim(sub, &result, GATE_CONFLICT_BUDGET, budget, ctx.sim())
+            {
+                out.rewrite = Some(result);
             } else {
-                (engine.optimize(cur, ctx), Vec::new())
+                out.gate_rejected = true;
             }
-        }));
-        match caught {
-            Ok((result, mut found)) => {
-                violations.append(&mut found);
-                latency.record(result.stats.busy);
-                stats.merge(&result.stats);
-                // A tripped budget means the result is partial: count the
-                // hit and degrade rather than stitch half-optimized work.
-                if budget.check().is_err() {
-                    fault.counts_mut(name).deadline_hits += 1;
-                    return Invocation::DeadlineHit;
+        }
+        Some(_) => {}
+        // Both attempts failed, or the deadline hit: degrade the window.
+        None => out.fault.degraded_windows += 1,
+    }
+    out.bdd = drain_bdd_tally();
+    out.sat = drain_sat_tally();
+    out.sim = drain_sim_tally();
+    out
+}
+
+/// One engine invocation inside a panic barrier, with deterministic fault
+/// injection when `ctx` carries a [`FaultPlan`](sbm_check::FaultPlan).
+/// Records stats, latency, violations and faults into `out`. Never
+/// unwinds.
+fn run_isolated(
+    engine: &dyn Engine,
+    name: &str,
+    sub: &Aig,
+    ctx: &EngineCtx<'_>,
+    part_idx: usize,
+    attempt: u8,
+    out: &mut WindowOutcome,
+) -> Invocation {
+    // Roll the fault plan first: the roll is a pure function of (seed,
+    // window, engine, attempt), so the ledger is identical for every
+    // thread count.
+    let mut inject = None;
+    if let Some(plan) = ctx.fault_plan() {
+        if let Some(kind) = plan.roll(part_idx, name, attempt) {
+            out.fault.injected.push(InjectedFault {
+                engine: name.to_string(),
+                window: part_idx,
+                attempt,
+                kind,
+            });
+            match kind {
+                FaultKind::Bailout => {
+                    out.fault.counts_mut(name).injected_bailouts += 1;
+                    return Invocation::Failed;
                 }
-                Invocation::Completed(result.aig)
+                FaultKind::Delay => {
+                    out.fault.counts_mut(name).delays += 1;
+                    std::thread::sleep(plan.delay);
+                }
+                FaultKind::Panic => inject = Some(kind),
             }
-            Err(_payload) => {
-                // Injected and genuine panics are counted alike; the
-                // ledger distinguishes them (injected ones are recorded).
-                fault.counts_mut(name).panics += 1;
-                Invocation::Failed
+        }
+    }
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        if inject.is_some() {
+            // Injected *inside* the barrier so the test exercises the
+            // exact unwind path a genuine engine bug would take.
+            inject_panic();
+        }
+        if ctx.check_level().per_engine() {
+            run_checked(engine, sub, ctx, Some(part_idx))
+        } else {
+            (engine.optimize(sub, ctx), Vec::new())
+        }
+    }));
+    match caught {
+        Ok((result, mut found)) => {
+            out.violations.append(&mut found);
+            out.latency.record(result.stats.busy);
+            out.stats.merge(&result.stats);
+            // A tripped budget means the result is partial: count the hit
+            // and degrade rather than stitch half-optimized work.
+            if ctx.budget().check().is_err() {
+                out.fault.counts_mut(name).deadline_hits += 1;
+                return Invocation::DeadlineHit;
             }
+            Invocation::Completed(result.aig)
+        }
+        Err(_payload) => {
+            // Injected and genuine panics are counted alike; the ledger
+            // distinguishes them (injected ones are recorded).
+            out.fault.counts_mut(name).panics += 1;
+            Invocation::Failed
         }
     }
 }
@@ -1117,43 +971,8 @@ enum Invocation {
     Completed(Aig),
     /// The invocation panicked or was forced to bail out — retryable.
     Failed,
-    /// The shared budget expired or was cancelled — the window degrades
-    /// and the engine chain stops.
+    /// The shared budget expired or was cancelled — the window degrades.
     DeadlineHit,
-}
-
-/// Runs a single engine over the whole network through the parallel
-/// executor. Every setting of the run comes from `ctx`: worker threads,
-/// check level, budget, fault plan and simulation service. The window
-/// limits are sized for full-strength engine passes (each window is
-/// re-partitioned by the engine's own options).
-pub fn pass(
-    aig: &Aig,
-    engine: impl Engine + 'static,
-    ctx: &EngineCtx<'_>,
-) -> Optimized<PipelineReport> {
-    let options = PipelineOptions {
-        num_threads: ctx.num_threads(),
-        check_level: ctx.check_level(),
-        budget: ctx.budget().clone(),
-        fault_plan: ctx.fault_plan().copied(),
-        sim: ctx.sim().cloned(),
-        ..pass_options()
-    };
-    Pipeline::new(options).with_engine(engine).run(aig)
-}
-
-/// Window limits of [`pass`].
-fn pass_options() -> PipelineOptions {
-    PipelineOptions {
-        partition: PartitionOptions {
-            max_nodes: 300,
-            max_inputs: 12,
-            max_levels: 16,
-        },
-        min_window: 2,
-        ..PipelineOptions::default()
-    }
 }
 
 /// Splices an optimized window copy back into `work`: the rewrite is
@@ -1209,8 +1028,20 @@ fn emit_window(work: &mut Aig, rewrite: &Aig, leaf_lits: &[Lit]) -> Vec<Lit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Refactor, Resub, Rewrite};
+    use crate::engine::{Bdiff, Mspf, Refactor, Resub, Rewrite};
     use crate::verify::equivalent;
+    use sbm_budget::Budget;
+    use sbm_check::{CheckLevel, FaultPlan};
+    use sbm_epfl::{generate, Scale};
+    use sbm_sim::SigService;
+
+    /// Reduced EPFL control designs large enough that the pass's window
+    /// limits split each into many windows.
+    const MULTI_WINDOW: [&str; 4] = ["arbiter", "priority", "router", "i2c"];
+
+    fn design(name: &str) -> Aig {
+        generate(name, Scale::Reduced).expect("known benchmark")
+    }
 
     fn test_aig(seed: u64) -> Aig {
         // A deterministic pseudo-random mass of redundant logic.
@@ -1240,26 +1071,50 @@ mod tests {
         aig
     }
 
-    fn small_window_pipeline(num_threads: usize) -> Pipeline {
-        let options = PipelineOptions {
-            num_threads,
-            partition: PartitionOptions {
-                max_nodes: 30,
-                max_inputs: 10,
-                max_levels: 12,
-            },
-            ..PipelineOptions::default()
-        };
-        Pipeline::new(options)
-            .with_engine(Rewrite::default())
-            .with_engine(Refactor::default())
-            .with_engine(Resub::default())
+    /// One [`pass`] per engine, in order; returns the final network and
+    /// each pass's report.
+    fn chain(
+        aig: &Aig,
+        engines: &[&dyn Engine],
+        ctx: &EngineCtx<'_>,
+    ) -> (Aig, Vec<PipelineReport>) {
+        let mut cur = aig.clone();
+        let mut reports = Vec::new();
+        for engine in engines {
+            let run = pass(&cur, *engine, ctx);
+            cur = run.aig;
+            reports.push(run.stats);
+        }
+        (cur, reports)
+    }
+
+    fn merged(reports: &[PipelineReport]) -> PipelineReport {
+        let mut total = PipelineReport::default();
+        for r in reports {
+            total.merge(r);
+        }
+        total
+    }
+
+    /// Rewrite → refactor → resub at `threads` workers, reports merged.
+    fn standard_chain(aig: &Aig, threads: usize) -> Optimized<PipelineReport> {
+        let budget = Budget::unlimited();
+        let ctx = EngineCtx::new(&budget).with_threads(threads);
+        let (aig, reports) = chain(
+            aig,
+            &[&Rewrite::default(), &Refactor::default(), &Resub::default()],
+            &ctx,
+        );
+        Optimized {
+            aig,
+            stats: merged(&reports),
+        }
     }
 
     #[test]
     fn serial_run_preserves_function_and_never_grows() {
         let aig = test_aig(42);
-        let run = small_window_pipeline(1).run(&aig);
+        let run = standard_chain(&aig, 1);
         assert!(run.aig.num_ands() <= aig.num_ands());
         assert!(equivalent(&aig, &run.aig), "pipeline broke equivalence");
         assert!(run.stats.is_consistent(), "{:?}", run.stats);
@@ -1267,34 +1122,37 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_exactly() {
-        let aig = test_aig(7);
-        let serial = small_window_pipeline(1).run(&aig);
-        for threads in [2, 4] {
-            let parallel = small_window_pipeline(threads).run(&aig);
-            assert_eq!(
-                serial.aig.num_ands(),
-                parallel.aig.num_ands(),
-                "thread count changed the result ({threads} threads)"
-            );
-            assert!(equivalent(&serial.aig, &parallel.aig));
-            assert_eq!(
-                serial.stats.windows_improved,
-                parallel.stats.windows_improved
-            );
-            assert!(parallel.stats.is_consistent(), "{:?}", parallel.stats);
+        for name in MULTI_WINDOW {
+            let aig = design(name);
+            let serial = standard_chain(&aig, 1);
+            assert!(serial.stats.windows_total >= 8, "{name}: too few windows");
+            for threads in [2, 4] {
+                let parallel = standard_chain(&aig, threads);
+                assert_eq!(
+                    sbm_aig::aiger::write(&serial.aig),
+                    sbm_aig::aiger::write(&parallel.aig),
+                    "{name}: thread count changed the result ({threads} threads)"
+                );
+                assert_eq!(
+                    serial.stats.windows_improved,
+                    parallel.stats.windows_improved
+                );
+                assert!(parallel.stats.is_consistent(), "{:?}", parallel.stats);
+            }
         }
     }
 
     #[test]
     fn report_counters_sum_across_workers() {
-        let aig = test_aig(99);
-        let run = small_window_pipeline(4).run(&aig);
+        let aig = design("router");
+        let run = standard_chain(&aig, 4);
         let report = &run.stats;
         assert!(report.is_consistent(), "{report:?}");
+        assert!(report.windows_total >= 8, "too few windows");
         assert_eq!(report.engines.len(), 3);
-        // Every non-skipped window went through every engine exactly once:
+        // Every non-skipped window went through its engine exactly once:
         // merged tried counts must match what a serial rerun accumulates.
-        let rerun = small_window_pipeline(1).run(&aig);
+        let rerun = standard_chain(&aig, 1);
         for ((name_p, s_p), (name_s, s_s)) in report.engines.iter().zip(&rerun.stats.engines) {
             assert_eq!(name_p, name_s);
             assert_eq!(s_p.tried, s_s.tried, "{name_p} tried diverged");
@@ -1305,59 +1163,50 @@ mod tests {
 
     #[test]
     fn tallies_and_counters_are_deterministic_across_thread_counts() {
-        use crate::engine::{Bdiff, Mspf};
-        let aig = test_aig(17);
+        let aig = design("priority");
         let make = |threads| {
-            let options = PipelineOptions {
-                num_threads: threads,
-                partition: PartitionOptions {
-                    max_nodes: 30,
-                    max_inputs: 10,
-                    max_levels: 12,
-                },
-                // A fresh service per run: the committed pattern set (and
-                // so every filter decision) depends only on this run.
-                sim: Some(SigService::default()),
-                ..PipelineOptions::default()
-            };
-            Pipeline::new(options)
-                .with_engine(Rewrite::default())
-                .with_engine(Mspf::default())
-                .with_engine(Bdiff::default())
-                .run(&aig)
+            // A fresh service per run: the committed pattern set (and so
+            // every filter decision) depends only on this run.
+            let sim = SigService::default();
+            let budget = Budget::unlimited();
+            let ctx = EngineCtx::new(&budget)
+                .with_threads(threads)
+                .with_sim(Some(&sim));
+            let (_, reports) = chain(
+                &aig,
+                &[&Rewrite::default(), &Mspf::default(), &Bdiff::default()],
+                &ctx,
+            );
+            merged(&reports)
         };
         let serial = make(1);
+        assert!(serial.windows_total >= 8, "too few windows");
         assert!(
-            !serial.stats.bdd.is_zero(),
+            !serial.bdd.is_zero(),
             "BDD engines must harvest recycled managers: {:?}",
-            serial.stats.bdd
+            serial.bdd
         );
         assert!(
-            !serial.stats.sat.is_zero(),
+            !serial.sat.is_zero(),
             "the window equivalence gate must run solves: {:?}",
-            serial.stats.sat
+            serial.sat
         );
         assert!(
-            serial.stats.sim.filter_hits + serial.stats.sim.filter_misses > 0,
+            serial.sim.filter_hits + serial.sim.filter_misses > 0,
             "the configured service must screen candidates: {:?}",
-            serial.stats.sim
+            serial.sim
         );
         for threads in [2, 4] {
             let parallel = make(threads);
             // Everything deterministic must match exactly; only the
             // timing fields (walls, busy, latency histograms) may differ.
-            assert_eq!(serial.stats.bdd, parallel.stats.bdd, "{threads} threads");
-            assert_eq!(serial.stats.sat, parallel.stats.sat, "{threads} threads");
-            assert_eq!(serial.stats.sim, parallel.stats.sim, "{threads} threads");
-            assert_eq!(serial.stats.windows_total, parallel.stats.windows_total);
-            assert_eq!(
-                serial.stats.windows_improved,
-                parallel.stats.windows_improved
-            );
-            assert_eq!(serial.stats.nodes_saved, parallel.stats.nodes_saved);
-            for ((name_s, s), (name_p, p)) in
-                serial.stats.engines.iter().zip(&parallel.stats.engines)
-            {
+            assert_eq!(serial.bdd, parallel.bdd, "{threads} threads");
+            assert_eq!(serial.sat, parallel.sat, "{threads} threads");
+            assert_eq!(serial.sim, parallel.sim, "{threads} threads");
+            assert_eq!(serial.windows_total, parallel.windows_total);
+            assert_eq!(serial.windows_improved, parallel.windows_improved);
+            assert_eq!(serial.nodes_saved, parallel.nodes_saved);
+            for ((name_s, s), (name_p, p)) in serial.engines.iter().zip(&parallel.engines) {
                 assert_eq!(name_s, name_p);
                 assert_eq!(s.tried, p.tried, "{name_s} tried");
                 assert_eq!(s.accepted, p.accepted, "{name_s} accepted");
@@ -1370,13 +1219,23 @@ mod tests {
     #[test]
     fn latency_histograms_record_every_completed_invocation() {
         let aig = test_aig(31);
-        let run = small_window_pipeline(2).run(&aig);
-        let report = &run.stats;
-        assert_eq!(report.engine_latency.len(), report.engines.len());
-        for ((name, _), (hist_name, hist)) in report.engines.iter().zip(&report.engine_latency) {
+        let budget = Budget::unlimited();
+        let ctx = EngineCtx::new(&budget).with_threads(2);
+        let (_, reports) = chain(
+            &aig,
+            &[&Rewrite::default(), &Refactor::default(), &Resub::default()],
+            &ctx,
+        );
+        for report in &reports {
+            let [(name, _)] = report.engines.as_slice() else {
+                panic!("one engine per pass: {:?}", report.engines);
+            };
+            let [(hist_name, hist)] = report.engine_latency.as_slice() else {
+                panic!("one histogram per pass: {:?}", report.engine_latency);
+            };
             assert_eq!(name, hist_name);
             // One sample per completed invocation: every non-skipped
-            // window ran every engine exactly once on a healthy run.
+            // window ran the engine exactly once on a healthy run.
             let processed = (report.windows_total - report.windows_skipped) as u64;
             assert_eq!(hist.count(), processed, "{name} histogram");
         }
@@ -1385,7 +1244,7 @@ mod tests {
     #[test]
     fn run_report_round_trips_through_json() {
         let aig = test_aig(9);
-        let run = small_window_pipeline(2).run(&aig);
+        let run = standard_chain(&aig, 2);
         let mut report = run.stats.run_report();
         report.tool = "pipeline-test".to_string();
         report.scale = "unit".to_string();
@@ -1400,40 +1259,22 @@ mod tests {
     }
 
     #[test]
-    fn empty_pipeline_is_identity_modulo_cleanup() {
-        let aig = test_aig(5);
-        let run = Pipeline::new(PipelineOptions::default()).run(&aig);
-        assert_eq!(run.aig.num_ands(), aig.cleanup().num_ands());
-        assert_eq!(run.stats.windows_improved, 0);
-        assert!(run.stats.is_consistent());
-    }
-
-    #[test]
     fn paranoid_check_matches_off_and_reports_clean() {
         let aig = test_aig(23);
-        let plain = small_window_pipeline(2).run(&aig);
-        let mut options = PipelineOptions {
-            num_threads: 2,
-            partition: PartitionOptions {
-                max_nodes: 30,
-                max_inputs: 10,
-                max_levels: 12,
-            },
-            ..PipelineOptions::default()
-        };
-        options.check_level = CheckLevel::Paranoid;
-        let checked = Pipeline::new(options)
-            .with_engine(Rewrite::default())
-            .with_engine(Refactor::default())
-            .with_engine(Resub::default())
-            .run(&aig);
-        assert!(
-            checked.stats.check_violations.is_empty(),
-            "{:?}",
-            checked.stats.check_violations
+        let plain = standard_chain(&aig, 2);
+        let budget = Budget::unlimited();
+        let ctx = EngineCtx::new(&budget)
+            .with_threads(2)
+            .with_check_level(CheckLevel::Paranoid);
+        let (checked, reports) = chain(
+            &aig,
+            &[&Rewrite::default(), &Refactor::default(), &Resub::default()],
+            &ctx,
         );
-        assert_eq!(plain.aig.num_ands(), checked.aig.num_ands());
-        assert!(equivalent(&plain.aig, &checked.aig));
+        let violations = merged(&reports).check_violations;
+        assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(plain.aig.num_ands(), checked.num_ands());
+        assert!(equivalent(&plain.aig, &checked));
     }
 
     #[test]
@@ -1442,13 +1283,9 @@ mod tests {
         // A self-referential redirection: resolve()/cleanup() would loop.
         let victim = aig.outputs()[0].node();
         aig.corrupt_force_replace(victim, Lit::new(victim, true));
-        let options = PipelineOptions {
-            check_level: CheckLevel::Boundaries,
-            ..PipelineOptions::default()
-        };
-        let run = Pipeline::new(options)
-            .with_engine(Rewrite::default())
-            .run(&aig);
+        let budget = Budget::unlimited();
+        let ctx = EngineCtx::new(&budget).with_check_level(CheckLevel::Boundaries);
+        let run = pass(&aig, &Rewrite::default(), &ctx);
         assert_eq!(run.stats.check_violations.len(), 1);
         let v = &run.stats.check_violations[0];
         assert_eq!(v.engine, "pipeline");
@@ -1461,7 +1298,7 @@ mod tests {
     #[test]
     fn report_displays_every_phase() {
         let aig = test_aig(11);
-        let run = small_window_pipeline(2).run(&aig);
+        let run = standard_chain(&aig, 2);
         let text = format!("{}", run.stats);
         for needle in ["pipeline:", "rewrite", "refactor", "resub", "phases:"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
@@ -1470,9 +1307,10 @@ mod tests {
 
     #[test]
     fn zero_fault_run_reports_zero_faults() {
-        let aig = test_aig(42);
+        let aig = design("router");
         for threads in [1, 4] {
-            let run = small_window_pipeline(threads).run(&aig);
+            let run = standard_chain(&aig, threads);
+            assert!(run.stats.windows_total >= 8, "too few windows");
             assert!(run.stats.fault.is_zero(), "{:?}", run.stats.fault);
         }
     }
@@ -1516,19 +1354,11 @@ mod tests {
     #[test]
     fn genuine_panics_are_isolated_and_retried() {
         let aig = test_aig(7);
-        let options = PipelineOptions {
-            partition: PartitionOptions {
-                max_nodes: 30,
-                max_inputs: 10,
-                max_levels: 12,
-            },
-            ..PipelineOptions::default()
+        let budget = Budget::unlimited();
+        let engine = FirstAttemptPanics {
+            calls: AtomicUsize::new(0),
         };
-        let run = Pipeline::new(options)
-            .with_engine(FirstAttemptPanics {
-                calls: AtomicUsize::new(0),
-            })
-            .run(&aig);
+        let run = pass(&aig, &engine, &EngineCtx::new(&budget));
         let counts = run.stats.fault.counts("flaky");
         let processed = run.stats.windows_total - run.stats.windows_skipped;
         assert!(processed > 0, "test network produced no windows");
@@ -1543,20 +1373,14 @@ mod tests {
 
     #[test]
     fn hopeless_engine_degrades_every_window_without_aborting() {
-        let aig = test_aig(13);
+        let aig = design("arbiter");
+        let budget = Budget::unlimited();
         for threads in [1, 3] {
-            let options = PipelineOptions {
-                num_threads: threads,
-                partition: PartitionOptions {
-                    max_nodes: 30,
-                    max_inputs: 10,
-                    max_levels: 12,
-                },
-                ..PipelineOptions::default()
-            };
-            let run = Pipeline::new(options).with_engine(AlwaysPanics).run(&aig);
+            let ctx = EngineCtx::new(&budget).with_threads(threads);
+            let run = pass(&aig, &AlwaysPanics, &ctx);
             let counts = run.stats.fault.counts("doomed");
             let processed = run.stats.windows_total - run.stats.windows_skipped;
+            assert!(run.stats.windows_total >= 8, "too few windows");
             assert!(processed > 0);
             // Both attempts panic in every window; all degrade, none stitch.
             assert_eq!(counts.panics, 2 * processed);
@@ -1573,19 +1397,9 @@ mod tests {
     #[test]
     fn expired_deadline_degrades_gracefully() {
         let aig = test_aig(21);
-        let options = PipelineOptions {
-            num_threads: 2,
-            partition: PartitionOptions {
-                max_nodes: 30,
-                max_inputs: 10,
-                max_levels: 12,
-            },
-            budget: Budget::with_deadline(Duration::ZERO),
-            ..PipelineOptions::default()
-        };
-        let run = Pipeline::new(options)
-            .with_engine(Rewrite::default())
-            .run(&aig);
+        let budget = Budget::with_deadline(Duration::ZERO);
+        let ctx = EngineCtx::new(&budget).with_threads(2);
+        let run = pass(&aig, &Rewrite::default(), &ctx);
         let processed = run.stats.windows_total - run.stats.windows_skipped;
         assert!(processed > 0);
         assert_eq!(run.stats.fault.total(|c| c.deadline_hits), processed);
@@ -1600,18 +1414,7 @@ mod tests {
         let aig = test_aig(33);
         let budget = Budget::cancellable();
         budget.cancel();
-        let options = PipelineOptions {
-            partition: PartitionOptions {
-                max_nodes: 30,
-                max_inputs: 10,
-                max_levels: 12,
-            },
-            budget,
-            ..PipelineOptions::default()
-        };
-        let run = Pipeline::new(options)
-            .with_engine(Rewrite::default())
-            .run(&aig);
+        let run = pass(&aig, &Rewrite::default(), &EngineCtx::new(&budget));
         assert_eq!(run.stats.windows_improved, 0);
         assert!(run.stats.fault.total(|c| c.deadline_hits) > 0);
         assert!(equivalent(&aig, &run.aig));
@@ -1619,31 +1422,32 @@ mod tests {
 
     #[test]
     fn injected_faults_are_ledgered_exactly() {
-        let aig = test_aig(55);
+        let aig = design("priority");
         let plan = FaultPlan::uniform(0xFA_17, 0.25);
+        let budget = Budget::unlimited();
+        let mut ledgers = Vec::new();
         for threads in [1, 4] {
-            let options = PipelineOptions {
-                num_threads: threads,
-                partition: PartitionOptions {
-                    max_nodes: 30,
-                    max_inputs: 10,
-                    max_levels: 12,
-                },
-                fault_plan: Some(plan),
-                ..PipelineOptions::default()
-            };
-            let run = Pipeline::new(options)
-                .with_engine(Rewrite::default())
-                .with_engine(Resub::default())
-                .run(&aig);
-            assert!(
-                !run.stats.fault.injected.is_empty(),
-                "a 0.25 rate must fire on this network"
-            );
-            assert_fault_summary_matches_ledger(&run.stats);
-            assert!(run.stats.is_consistent(), "{:?}", run.stats);
-            assert!(equivalent(&aig, &run.aig), "injection broke function");
+            let ctx = EngineCtx::new(&budget)
+                .with_threads(threads)
+                .with_fault_plan(Some(&plan));
+            let (out, reports) = chain(&aig, &[&Rewrite::default(), &Resub::default()], &ctx);
+            for report in &reports {
+                assert!(report.windows_total >= 8, "too few windows");
+                assert!(
+                    !report.fault.injected.is_empty(),
+                    "a 0.25 rate must fire on this network"
+                );
+                // Window indices restart with every pass, so the ledger
+                // replays pass by pass.
+                assert_fault_summary_matches_ledger(report);
+                assert!(report.is_consistent(), "{report:?}");
+            }
+            assert!(equivalent(&aig, &out), "injection broke function");
+            ledgers.push(reports.into_iter().map(|r| r.fault).collect::<Vec<_>>());
         }
+        // The roll is a pure function of (seed, window, engine, attempt),
+        // so every pass's summary — ledger included — is thread-invariant.
+        assert_eq!(ledgers[0], ledgers[1]);
     }
 
     /// Replays the injected-fault ledger against the per-engine counters

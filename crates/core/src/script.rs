@@ -25,9 +25,7 @@ use sbm_sim::SigService;
 
 use crate::balance::balance;
 use crate::bdiff::BdiffOptions;
-use crate::engine::{
-    self, run_checked, CheckViolation, Engine, EngineCtx, Optimized, SPOT_CHECK_SEED,
-};
+use crate::engine::{self, CheckViolation, Engine, EngineCtx, Optimized, SPOT_CHECK_SEED};
 use crate::gradient::{gradient_optimize_filtered, GradientOptions};
 use crate::hetero::{hetero_eliminate_kernel_impl, HeteroOptions};
 use crate::mspf::MspfOptions;
@@ -38,9 +36,9 @@ use crate::resub::ResubOptions;
 /// Banks the calling thread's drained BDD/SAT/sim tallies into `report`.
 /// Called after every script step: a later step's attribution boundary
 /// (the pipeline's per-window entry drain) discards whatever the
-/// thread-local accumulators hold, so serial-path work (gradient moves,
-/// MSPF/bdiff at one thread, SAT sweeping and redundancy removal) must
-/// be surfaced into the report before the next step begins.
+/// thread-local accumulators hold, so work done on the calling thread
+/// (gradient moves, hetero, SAT sweeping and redundancy removal) must be
+/// surfaced into the report before the next step begins.
 ///
 /// A step boundary is also the one *true* serial point of the run — every
 /// pipeline worker has joined — so this is where the simulation service
@@ -154,11 +152,13 @@ impl fmt::Debug for ReportSink<'_> {
     }
 }
 
-/// Shared execution context of one script run: the wall-clock budget and
-/// the fault-injection plan every step inherits, plus the optional
-/// step-grained checkpoint state.
-#[derive(Debug, Clone, Default)]
+/// Shared execution context of one script run: the worker threads, check
+/// level, wall-clock budget and fault-injection plan every step inherits,
+/// plus the optional step-grained checkpoint state.
+#[derive(Debug, Clone)]
 struct StepCtx<'a> {
+    threads: usize,
+    check: CheckLevel,
     budget: Budget,
     fault_plan: Option<FaultPlan>,
     ckpt: Option<ScriptCkpt>,
@@ -173,6 +173,17 @@ struct StepCtx<'a> {
     /// before the next step sees it, so the live network always equals
     /// what a snapshot of it would reload as.
     canonical: bool,
+}
+
+impl StepCtx<'_> {
+    /// The engine context every step of the run shares.
+    fn engine_ctx(&self) -> EngineCtx<'_> {
+        EngineCtx::new(&self.budget)
+            .with_threads(self.threads)
+            .with_check_level(self.check)
+            .with_fault_plan(self.fault_plan.as_ref())
+            .with_sim(self.sim.as_ref())
+    }
 }
 
 /// Step-grained checkpoint state of one script run. Scripts are a fixed
@@ -288,13 +299,15 @@ fn checkpointed(cur: Aig, ctx: &StepCtx<'_>, f: impl FnOnce(Aig) -> Aig) -> Aig 
 /// The `resyn2rs`-style baseline script: balance, resub, rewrite and
 /// refactor passes with growing resubstitution windows, mirroring ABC's
 /// `b; rs; rw; rs -K 6; rf; rs -K 8; b; rs -K 10; rw; rs -K 12; rf; b`.
+/// Each engine runs once over the whole network on the calling thread.
 pub fn resyn2rs(aig: &Aig) -> Aig {
-    resyn2rs_threaded(
+    let budget = Budget::unlimited();
+    let ctx = EngineCtx::new(&budget);
+    resyn2rs_steps(
         aig,
-        1,
         CheckLevel::Off,
-        &StepCtx::default(),
         &mut PipelineReport::default(),
+        |cur, _, engine| guarded(cur, |a| engine.optimize(a, &ctx).aig),
     )
 }
 
@@ -309,51 +322,25 @@ fn resub_opts(max_inputs: usize) -> ResubOptions {
     }
 }
 
-/// One engine step of a threaded script: the engine runs once over the
-/// whole network at one thread, and through the parallel partition
-/// executor ([`pass`]) otherwise, accumulating the pipeline's report
-/// (including any check violations) into `report`. At serial `Paranoid`
-/// the engine runs through [`run_checked`], which brackets the same
-/// transformation with invariant checks.
-///
-/// A configured fault plan or an active simulation service forces the
-/// pipeline path even at one thread: injection hooks live in the
-/// per-window executor, and the pipeline is what hands the service to
-/// engines (candidate filtering) and the SAT gate (witness harvesting).
-fn step(
-    aig: Aig,
-    threads: usize,
-    check: CheckLevel,
-    ctx: &StepCtx<'_>,
-    report: &mut PipelineReport,
-    engine: impl Engine + 'static,
-) -> Aig {
-    let ectx = EngineCtx::new(&ctx.budget)
-        .with_threads(threads)
-        .with_check_level(check)
-        .with_fault_plan(ctx.fault_plan.as_ref())
-        .with_sim(ctx.sim.as_ref());
-    if threads > 1 || ctx.fault_plan.is_some() || ctx.sim.is_some() {
-        let run = pass(&aig, engine, &ectx);
-        report.merge(&run.stats);
-        guarded(aig, |_| run.aig)
-    } else if check.per_engine() {
-        let (result, violations) = run_checked(&engine, &aig, &ectx, None);
-        report.check_violations.extend(violations);
-        guarded(aig, |_| result.aig)
-    } else {
-        guarded(aig, |a| engine.optimize(a, &ectx).aig)
-    }
+/// One windowed engine step of the SBM script: the engine runs once over
+/// the whole network through the parallel partition executor ([`pass`]),
+/// and the pass's report (including any check violations) accumulates
+/// into `report`.
+fn step(aig: Aig, ctx: &StepCtx<'_>, report: &mut PipelineReport, engine: &dyn Engine) -> Aig {
+    let run = pass(&aig, engine, &ctx.engine_ctx());
+    report.merge(&run.stats);
+    guarded(aig, |_| run.aig)
 }
 
-/// [`resyn2rs`] with its window-based passes fanned out over
-/// `num_threads` workers; pipeline statistics accumulate into `report`.
-fn resyn2rs_threaded(
+/// The [`resyn2rs`] step sequence. Balancing runs in place; every engine
+/// step goes through `run`, which picks the schedule: the baseline runs
+/// each engine once over the whole network, the SBM script runs it as a
+/// windowed [`step`].
+fn resyn2rs_steps(
     aig: &Aig,
-    num_threads: usize,
     check: CheckLevel,
-    ctx: &StepCtx<'_>,
     report: &mut PipelineReport,
+    mut run: impl FnMut(Aig, &mut PipelineReport, &dyn Engine) -> Aig,
 ) -> Aig {
     let mut cur = aig.cleanup();
     let rs = |k: usize| engine::Resub {
@@ -366,36 +353,15 @@ fn resyn2rs_threaded(
         },
     };
     cur = checked_guarded(cur, check, report, "balance", balance);
-    cur = step(cur, num_threads, check, ctx, report, rs(6));
-    cur = step(
-        cur,
-        num_threads,
-        check,
-        ctx,
-        report,
-        engine::Rewrite::default(),
-    );
-    cur = step(cur, num_threads, check, ctx, report, rs(8));
-    cur = step(
-        cur,
-        num_threads,
-        check,
-        ctx,
-        report,
-        engine::Refactor::default(),
-    );
-    cur = step(cur, num_threads, check, ctx, report, rs(10));
+    cur = run(cur, report, &rs(6));
+    cur = run(cur, report, &engine::Rewrite::default());
+    cur = run(cur, report, &rs(8));
+    cur = run(cur, report, &engine::Refactor::default());
+    cur = run(cur, report, &rs(10));
     cur = checked_guarded(cur, check, report, "balance", balance);
-    cur = step(cur, num_threads, check, ctx, report, rs(12));
-    cur = step(
-        cur,
-        num_threads,
-        check,
-        ctx,
-        report,
-        engine::Rewrite::default(),
-    );
-    cur = step(cur, num_threads, check, ctx, report, deep_refactor);
+    cur = run(cur, report, &rs(12));
+    cur = run(cur, report, &engine::Rewrite::default());
+    cur = run(cur, report, &deep_refactor);
     cur = checked_guarded(cur, check, report, "balance", balance);
     cur.cleanup()
 }
@@ -435,18 +401,16 @@ pub struct SbmOptions {
     /// checks feed their counterexample witnesses back in, and the SAT
     /// sweep's refutation witnesses are harvested too. The filter is a
     /// sound necessary condition: it never rejects a candidate exact
-    /// reasoning would accept, so no quality is lost to screening.
-    /// Enabling the service also pins the script to the windowed
-    /// pipeline schedule at every thread count (that is what makes the
-    /// filter counters independent of `num_threads`), so a run differs
-    /// from the `false` setting by schedule as well as by work spent —
-    /// both are always SAT-verified equivalent to the input.
+    /// reasoning would accept, so no quality is lost to screening. It
+    /// only skips work — the schedule of every step is the same either
+    /// way, and with the filter on or off the result is identical at
+    /// every thread count.
     pub sim_filter: bool,
     /// Script iterations (the paper iterates the flow twice, with
     /// different efforts).
     pub iterations: usize,
-    /// Worker threads for the window-based steps (1 = strictly serial;
-    /// the serial code path is preserved exactly at 1).
+    /// Worker threads for the window-based steps (1 = strictly serial).
+    /// The result is identical at every thread count.
     pub num_threads: usize,
     /// Invariant-checking level: `Off` (default) adds no work,
     /// `Boundaries` validates the script's input and output networks
@@ -460,9 +424,8 @@ pub struct SbmOptions {
     /// best network found so far is returned.
     pub deadline: Option<Duration>,
     /// Deterministic fault-injection plan for robustness testing
-    /// (`None` = no injection, the production default). When set, every
-    /// engine step routes through the fault-isolating pipeline executor
-    /// even at `num_threads = 1`.
+    /// (`None` = no injection, the production default). Faults are
+    /// injected into the windowed steps' per-window engine invocations.
     pub fault_plan: Option<FaultPlan>,
     /// Directory for step-grained crash-safe checkpoints (`None` = off).
     /// When set, the script persists the network after completed steps
@@ -743,12 +706,13 @@ impl SbmOptionsBuilder {
 ///
 /// iterated (twice by default) with the network re-strashed into an AIG
 /// between steps. Returns the optimized network with the merged
-/// [`PipelineReport`] of every engine pass. (With `num_threads = 1` and
-/// [`SbmOptions::sim_filter`] off, the window counters are all zero:
-/// nothing enters the pipeline.)
+/// [`PipelineReport`] of every engine pass.
 ///
-/// At `num_threads > 1` the window-based steps run on the parallel
-/// partition executor ([`crate::pipeline`]). With
+/// The window-based steps (the baseline script's engine passes, MSPF,
+/// refactoring and Boolean difference) always run on the partition
+/// executor ([`crate::pipeline`]), fanned out over
+/// [`SbmOptions::num_threads`] workers; the gradient, hetero and SAT
+/// steps run over the whole network. With
 /// [`SbmOptions::checkpoint_dir`] set, the run additionally persists
 /// step-grained progress; checkpoint I/O failures are best-effort
 /// (reported, never fatal).
@@ -896,7 +860,6 @@ fn script_body(
     sink: Option<ReportSink<'_>>,
     mut report: PipelineReport,
 ) -> Optimized<PipelineReport> {
-    let threads = options.num_threads.max(1);
     let check = options.check_level;
 
     // Boundary pre-check on the RAW input (cleanup would loop on a
@@ -944,6 +907,8 @@ fn script_body(
     // One budget governs the whole run: every engine step, inner pass and
     // SAT gate below shares it, so the deadline bounds the run end to end.
     let ctx = StepCtx {
+        threads: options.num_threads.max(1),
+        check,
         budget,
         fault_plan: options.fault_plan,
         ckpt,
@@ -961,29 +926,23 @@ fn script_body(
         // 1. AIG optimization: baseline script, then the gradient engine.
         cur = checkpointed(cur, &ctx, |cur| {
             guarded(cur, |a| {
-                resyn2rs_threaded(a, threads, check, &ctx, &mut report)
+                resyn2rs_steps(a, check, &mut report, |cur, report, engine| {
+                    step(cur, &ctx, report, engine)
+                })
             })
         });
         bank_tallies(&mut report, &ctx);
-        let gradient = GradientOptions {
-            num_threads: threads,
-            ..options.gradient.clone()
-        };
         cur = checkpointed(cur, &ctx, |cur| {
             checked_guarded(cur, check, &mut report, "gradient", |a| {
-                gradient_optimize_filtered(a, &gradient, &ctx.budget, ctx.sim.as_ref()).0
+                gradient_optimize_filtered(a, &options.gradient, &ctx.engine_ctx()).0
             })
         });
         bank_tallies(&mut report, &ctx);
         // 2. Heterogeneous elimination for kerneling (internal
         // threshold-sweep threads).
-        let hetero = HeteroOptions {
-            parallel: threads > 1,
-            ..options.hetero.clone()
-        };
         cur = checkpointed(cur, &ctx, |cur| {
             checked_guarded(cur, check, &mut report, "hetero", |a| {
-                hetero_eliminate_kernel_impl(a, &hetero).0
+                hetero_eliminate_kernel_impl(a, &options.hetero, ctx.threads).0
             })
         });
         bank_tallies(&mut report, &ctx);
@@ -991,11 +950,9 @@ fn script_body(
         cur = checkpointed(cur, &ctx, |cur| {
             step(
                 cur,
-                threads,
-                check,
                 &ctx,
                 &mut report,
-                engine::Mspf {
+                &engine::Mspf {
                     options: options.mspf,
                 },
             )
@@ -1010,11 +967,9 @@ fn script_body(
         cur = checkpointed(cur, &ctx, |cur| {
             step(
                 cur,
-                threads,
-                check,
                 &ctx,
                 &mut report,
-                engine::Refactor {
+                &engine::Refactor {
                     options: refactor_options,
                 },
             )
@@ -1025,11 +980,9 @@ fn script_body(
         cur = checkpointed(cur, &ctx, |cur| {
             step(
                 cur,
-                threads,
-                check,
                 &ctx,
                 &mut report,
-                engine::Bdiff {
+                &engine::Bdiff {
                     options: options.bdiff,
                 },
             )

@@ -21,42 +21,21 @@ pub fn equivalent(a: &Aig, b: &Aig) -> bool {
     simulation_screen(a, b) && MiterOracle::new().check(a, b) == Verdict::Equivalent
 }
 
-/// Budgeted equivalence gate for per-window checks: random-simulation
-/// screen, then a SAT miter limited to `conflict_budget` conflicts.
-/// Returns `false` when the solver runs out of budget — a window rewrite
-/// that cannot be proved quickly is rejected, never trusted.
+/// Budgeted equivalence gate for per-window checks — the gate of
+/// [`crate::pipeline::pass`]. A cheap simulation screen first, then a SAT
+/// miter limited to `conflict_budget` conflicts that also stops at the
+/// deadline or on cancellation of `budget`. A proof the solver cannot
+/// finish counts as *not* equivalent: the rewrite is rejected, never
+/// trusted.
 ///
-/// # Panics
-///
-/// Panics if the interfaces differ (input/output counts).
-pub fn equivalent_within(a: &Aig, b: &Aig, conflict_budget: u64) -> bool {
-    simulation_screen(a, b)
-        && MiterOracle::new()
-            .with_conflict_budget(Some(conflict_budget))
-            .check(a, b)
-            == Verdict::Equivalent
-}
-
-/// [`equivalent_within`] under a shared wall-clock [`Budget`]: the miter
-/// solver additionally stops at the deadline or on cancellation. As with
-/// a blown conflict budget, an interrupted proof counts as *not*
-/// equivalent — the rewrite is rejected, never trusted.
-///
-/// # Panics
-///
-/// Panics if the interfaces differ (input/output counts).
-pub fn equivalent_within_budgeted(a: &Aig, b: &Aig, conflict_budget: u64, budget: &Budget) -> bool {
-    equivalent_within_budgeted_sim(a, b, conflict_budget, budget, None)
-}
-
-/// [`equivalent_within_budgeted`] wired into a shared [`SigService`]:
-/// the cheap screen uses the service's pattern set (seeded block plus
-/// every committed counterexample, so past refutations are replayed for
-/// free), and a SAT refutation hands its witness assignment back to the
-/// service ([`SigService::record_cex`]) to sharpen future screens. The
-/// screen is sound — it refutes only on a genuine output mismatch — so
-/// the gate's verdicts are identical with and without a service; only
-/// how much SAT work the verdicts cost differs.
+/// With a shared [`SigService`] the screen uses the service's pattern
+/// set (seeded block plus every committed counterexample, so past
+/// refutations are replayed for free), and a SAT refutation hands its
+/// witness assignment back to the service ([`SigService::record_cex`])
+/// to sharpen future screens. Without one it screens on fixed random
+/// patterns. The screen is sound — it refutes only on a genuine output
+/// mismatch — so the gate's verdicts are identical with and without a
+/// service; only how much SAT work the verdicts cost differs.
 ///
 /// # Panics
 ///
@@ -157,11 +136,16 @@ mod tests {
         let f = a.maj3(x, y, z);
         a.add_output(f);
         let b = a.cleanup();
-        assert!(equivalent_within(&a, &b, 10_000));
+        let budget = Budget::unlimited();
+        assert!(equivalent_within_budgeted_sim(
+            &a, &b, 10_000, &budget, None
+        ));
         let mut c = b.clone();
         let out = c.outputs()[0];
         c.set_output(0, !out);
-        assert!(!equivalent_within(&a, &c, 10_000));
+        assert!(!equivalent_within_budgeted_sim(
+            &a, &c, 10_000, &budget, None
+        ));
     }
 
     #[test]

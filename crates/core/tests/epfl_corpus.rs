@@ -8,29 +8,37 @@
 //! pipeline outputs are canonical at the snapshot-encoding level, and
 //! all of it holds at every thread count the quick benches use.
 
-use sbm_aig::window::PartitionOptions;
-use sbm_core::engine::{Resub, Rewrite};
-use sbm_core::pipeline::{Pipeline, PipelineOptions};
+use sbm_aig::Aig;
+use sbm_budget::Budget;
+use sbm_core::engine::{Engine, EngineCtx, Resub, Rewrite};
+use sbm_core::pipeline::pass;
 use sbm_core::verify::equivalent;
 use sbm_epfl::{generate, Scale};
 use sbm_journal::encode_aig;
 
 const QUICK_BENCHES: &[&str] = &["i2c", "priority"];
 
-fn windowed_pipeline(num_threads: usize) -> Pipeline {
-    let options = PipelineOptions {
-        num_threads,
-        partition: PartitionOptions {
-            max_nodes: 16,
-            max_inputs: 8,
-            max_levels: 8,
-        },
-        min_window: 2,
-        ..PipelineOptions::default()
-    };
-    Pipeline::new(options)
-        .with_engine(Rewrite::default())
-        .with_engine(Resub::default())
+/// Reduced control designs that the pass's window limits split into many
+/// windows, so the worker pool really fans out.
+const MULTI_WINDOW_BENCHES: &[&str] = &["arbiter", "priority", "router", "i2c"];
+
+/// A rewrite pass then a resub pass at `num_threads` workers.
+fn windowed_passes(name: &str, aig: &Aig, num_threads: usize) -> Aig {
+    let budget = Budget::unlimited();
+    let ctx = EngineCtx::new(&budget).with_threads(num_threads);
+    let engines: [&dyn Engine; 2] = [&Rewrite::default(), &Resub::default()];
+    let mut cur = aig.clone();
+    for engine in engines {
+        let run = pass(&cur, engine, &ctx);
+        assert!(
+            run.stats.windows_total >= 8,
+            "{name}: {} pass saw only {} windows",
+            engine.name(),
+            run.stats.windows_total
+        );
+        cur = run.aig;
+    }
+    cur
 }
 
 #[test]
@@ -58,31 +66,31 @@ fn cleanup_is_exact_on_epfl_benchmarks() {
 
 #[test]
 fn pipeline_outputs_are_canonical_at_every_thread_count() {
-    for name in QUICK_BENCHES {
+    for name in MULTI_WINDOW_BENCHES {
         let aig = generate(name, Scale::Reduced).expect("known benchmark");
-        let serial_ands = windowed_pipeline(1).run(&aig).aig.num_ands();
+        let serial =
+            encode_aig(&windowed_passes(name, &aig, 1)).expect("serial output must encode");
         for threads in [1usize, 2, 4] {
-            let run = windowed_pipeline(threads).run(&aig);
+            let out = windowed_passes(name, &aig, threads);
             assert!(
-                equivalent(&aig, &run.aig),
+                equivalent(&aig, &out),
                 "{name}@{threads}t: pipeline changed function"
             );
             // The pipeline's final cleanup hands back a canonical graph,
             // so its snapshot encoding is already a fixpoint.
             assert!(
-                run.aig.is_canonical_form(),
+                out.is_canonical_form(),
                 "{name}@{threads}t: pipeline output not canonical"
             );
-            let bytes = encode_aig(&run.aig).expect("pipeline output must encode");
-            let again = encode_aig(&run.aig.cleanup()).expect("re-clean must encode");
+            let bytes = encode_aig(&out).expect("pipeline output must encode");
+            let again = encode_aig(&out.cleanup()).expect("re-clean must encode");
             assert_eq!(
                 bytes, again,
                 "{name}@{threads}t: cleanup moved pipeline bytes"
             );
-            assert!(
-                run.aig.num_ands() <= serial_ands,
-                "{name}@{threads}t: parallel run larger than serial ({} > {serial_ands})",
-                run.aig.num_ands()
+            assert_eq!(
+                bytes, serial,
+                "{name}@{threads}t: thread count changed the result"
             );
         }
     }

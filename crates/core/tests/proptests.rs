@@ -1,9 +1,12 @@
+// Test code: a panic IS the failure report (clippy.toml only relaxes
+// unwrap/expect inside #[test] fns, not test-file helpers).
+#![allow(clippy::expect_used, clippy::unwrap_used)]
+
 //! Property tests: every SBM engine must preserve network function and
 //! never increase size, on random DAGs — and the parallel pipeline must
-//! agree with its serial self.
+//! agree with its serial self on multi-window designs.
 
 use proptest::prelude::*;
-use sbm_aig::window::PartitionOptions;
 use sbm_aig::{Aig, Lit};
 use sbm_budget::Budget;
 use sbm_check::{FaultKind, FaultPlan};
@@ -12,9 +15,10 @@ use sbm_core::engine::{
     Rewrite,
 };
 use sbm_core::gradient::GradientOptions;
-use sbm_core::pipeline::{Pipeline, PipelineOptions, PipelineReport};
+use sbm_core::pipeline::{pass, PipelineReport};
 use sbm_core::verify::equivalent;
 use sbm_core::CheckLevel;
+use sbm_epfl::{generate, Scale};
 
 #[derive(Debug, Clone)]
 struct Recipe {
@@ -145,50 +149,64 @@ proptest! {
     }
 }
 
-fn small_window_pipeline(num_threads: usize) -> Pipeline {
-    small_window_pipeline_checked(num_threads, CheckLevel::Off)
+/// Reduced EPFL control designs that the pass's window limits split into
+/// many windows (a random recipe fits in one or two), so the worker pool
+/// and the per-window fault ledger really get exercised.
+const MULTI_WINDOW: [&str; 4] = ["arbiter", "priority", "router", "i2c"];
+
+fn design(name: &str) -> Aig {
+    generate(name, Scale::Reduced).expect("known benchmark")
 }
 
-fn small_window_pipeline_checked(num_threads: usize, check_level: CheckLevel) -> Pipeline {
-    let options = PipelineOptions {
-        num_threads,
-        partition: PartitionOptions {
-            max_nodes: 16,
-            max_inputs: 8,
-            max_levels: 8,
-        },
-        min_window: 2,
-        check_level,
-        ..PipelineOptions::default()
-    };
-    Pipeline::new(options)
-        .with_engine(Rewrite::default())
-        .with_engine(Resub::default())
+/// A rewrite pass then a resub pass under `ctx`; returns the final
+/// network and each pass's report.
+fn rewrite_resub(aig: &Aig, ctx: &EngineCtx<'_>) -> (Aig, Vec<PipelineReport>) {
+    let engines: [&dyn Engine; 2] = [&Rewrite::default(), &Resub::default()];
+    let mut cur = aig.clone();
+    let mut reports = Vec::new();
+    for engine in engines {
+        let run = pass(&cur, engine, ctx);
+        cur = run.aig;
+        reports.push(run.stats);
+    }
+    (cur, reports)
+}
+
+/// [`rewrite_resub`] at `threads` workers with no checks or faults.
+fn rewrite_resub_at(aig: &Aig, threads: usize) -> (Aig, Vec<PipelineReport>) {
+    let budget = Budget::unlimited();
+    rewrite_resub(aig, &EngineCtx::new(&budget).with_threads(threads))
+}
+
+// The windowed executor's determinism contract on real netlists: every
+// thread count yields the serial network byte for byte, equivalent to the
+// input, with consistent window accounting.
+#[test]
+fn parallel_pipeline_equivalent_and_no_larger_than_serial() {
+    for name in MULTI_WINDOW {
+        let aig = design(name);
+        let (serial, reports) = rewrite_resub_at(&aig, 1);
+        assert!(equivalent(&aig, &serial), "{name}: serial broke function");
+        for report in &reports {
+            assert!(report.windows_total >= 8, "{name}: too few windows");
+            assert!(report.is_consistent(), "{name}: {report:?}");
+        }
+        for threads in [2usize, 4] {
+            let (parallel, reports) = rewrite_resub_at(&aig, threads);
+            assert_eq!(
+                sbm_aig::aiger::write(&parallel),
+                sbm_aig::aiger::write(&serial),
+                "{name}: {threads}-thread result differs from serial"
+            );
+            for report in &reports {
+                assert!(report.is_consistent(), "{name}: {report:?}");
+            }
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-    #[test]
-    fn parallel_pipeline_equivalent_and_no_larger_than_serial(recipe in arb_recipe()) {
-        let aig = build(&recipe);
-        let serial = small_window_pipeline(1).run(&aig);
-        prop_assert!(equivalent(&aig, &serial.aig), "serial broke function");
-        prop_assert!(serial.stats.is_consistent(), "{:?}", serial.stats);
-        for threads in [2usize, 4] {
-            let parallel = small_window_pipeline(threads).run(&aig);
-            prop_assert!(
-                equivalent(&aig, &parallel.aig),
-                "{threads}-thread pipeline broke function"
-            );
-            prop_assert!(
-                parallel.aig.num_ands() <= serial.aig.num_ands(),
-                "{threads}-thread result larger than serial: {} > {}",
-                parallel.aig.num_ands(),
-                serial.aig.num_ands()
-            );
-            prop_assert!(parallel.stats.is_consistent(), "{:?}", parallel.stats);
-        }
-    }
 
     // Zero-fault runs must report zero faults: the fault machinery is
     // pure observation when nothing goes wrong.
@@ -196,9 +214,31 @@ proptest! {
     fn fault_free_pipeline_reports_zero_faults(recipe in arb_recipe()) {
         let aig = build(&recipe);
         for threads in [1usize, 2] {
-            let run = small_window_pipeline(threads).run(&aig);
-            prop_assert!(run.stats.fault.is_zero(), "{:?}", run.stats.fault);
+            let (_, reports) = rewrite_resub_at(&aig, threads);
+            for report in &reports {
+                prop_assert!(report.fault.is_zero(), "{:?}", report.fault);
+            }
         }
+    }
+
+    #[test]
+    fn paranoid_pipeline_reports_no_violations(recipe in arb_recipe()) {
+        let aig = build(&recipe);
+        let (plain, _) = rewrite_resub_at(&aig, 2);
+        let budget = Budget::unlimited();
+        let ctx = EngineCtx::new(&budget)
+            .with_threads(2)
+            .with_check_level(CheckLevel::Paranoid);
+        let (checked, reports) = rewrite_resub(&aig, &ctx);
+        for report in &reports {
+            prop_assert!(
+                report.check_violations.is_empty(),
+                "{:?}",
+                report.check_violations
+            );
+        }
+        prop_assert_eq!(plain.num_ands(), checked.num_ands());
+        prop_assert!(equivalent(&aig, &checked), "checked pipeline broke function");
     }
 
     // Seeded fault injection at 10–30% rates: every run must complete,
@@ -207,57 +247,35 @@ proptest! {
     // the injected-fault ledger — independent of thread count.
     #[test]
     fn fault_injected_pipeline_survives_and_ledgers_exactly(
-        recipe in arb_recipe(),
+        which in 0usize..MULTI_WINDOW.len(),
         seed in any::<u64>(),
         rate_pct in 10u32..30,
     ) {
-        let aig = build(&recipe);
+        let aig = design(MULTI_WINDOW[which]);
         let plan = FaultPlan::uniform(seed, f64::from(rate_pct) / 100.0);
+        let budget = Budget::unlimited();
         let mut summaries = Vec::new();
         for threads in [1usize, 2] {
-            let run = fault_pipeline(threads, plan).run(&aig);
-            prop_assert!(equivalent(&aig, &run.aig), "injection broke function");
-            prop_assert!(run.stats.is_consistent(), "{:?}", run.stats);
-            if let Err(mismatch) = assert_ledger_exact(&run.stats) {
-                prop_assert!(false, "{}", mismatch);
+            let ctx = EngineCtx::new(&budget)
+                .with_threads(threads)
+                .with_fault_plan(Some(&plan));
+            let (out, reports) = rewrite_resub(&aig, &ctx);
+            prop_assert!(equivalent(&aig, &out), "injection broke function");
+            // Window indices restart with every pass, so the ledger
+            // replays pass by pass.
+            for report in &reports {
+                prop_assert!(report.windows_total >= 8, "too few windows");
+                prop_assert!(report.is_consistent(), "{:?}", report);
+                if let Err(mismatch) = assert_ledger_exact(report) {
+                    prop_assert!(false, "{}", mismatch);
+                }
             }
-            summaries.push(run.stats.fault);
+            summaries.push(reports.into_iter().map(|r| r.fault).collect::<Vec<_>>());
         }
         // The roll is a pure function of (seed, window, engine, attempt),
-        // so the whole summary — ledger included — is thread-invariant.
+        // so every summary — ledger included — is thread-invariant.
         prop_assert_eq!(&summaries[0], &summaries[1]);
     }
-
-    #[test]
-    fn paranoid_pipeline_reports_no_violations(recipe in arb_recipe()) {
-        let aig = build(&recipe);
-        let plain = small_window_pipeline(2).run(&aig);
-        let checked = small_window_pipeline_checked(2, CheckLevel::Paranoid).run(&aig);
-        prop_assert!(
-            checked.stats.check_violations.is_empty(),
-            "{:?}",
-            checked.stats.check_violations
-        );
-        prop_assert_eq!(plain.aig.num_ands(), checked.aig.num_ands());
-        prop_assert!(equivalent(&aig, &checked.aig), "checked pipeline broke function");
-    }
-}
-
-fn fault_pipeline(num_threads: usize, plan: FaultPlan) -> Pipeline {
-    let options = PipelineOptions {
-        num_threads,
-        partition: PartitionOptions {
-            max_nodes: 16,
-            max_inputs: 8,
-            max_levels: 8,
-        },
-        min_window: 2,
-        fault_plan: Some(plan),
-        ..PipelineOptions::default()
-    };
-    Pipeline::new(options)
-        .with_engine(Rewrite::default())
-        .with_engine(Resub::default())
 }
 
 /// Replays the injected-fault ledger against the per-engine counters:
@@ -328,90 +346,68 @@ fn assert_ledger_exact(report: &PipelineReport) -> Result<(), String> {
     check("degraded windows", fault.degraded_windows, degraded.len())
 }
 
-/// A deterministic mass of redundant logic big enough that the small
-/// partition settings produce many windows.
-fn stress_aig(seed: u64) -> Aig {
-    let mut aig = Aig::new();
-    let inputs: Vec<Lit> = (0..8).map(|_| aig.add_input()).collect();
-    let mut state = seed | 1;
-    let mut lits = inputs;
-    for _ in 0..180 {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let a = lits[(state >> 33) as usize % lits.len()];
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let b = lits[(state >> 33) as usize % lits.len()];
-        let f = match state % 3 {
-            0 => aig.and(a, b),
-            1 => aig.or(a, b),
-            _ => aig.xor(a, b),
-        };
-        lits.push(f);
-    }
-    for l in lits.iter().rev().take(4) {
-        aig.add_output(*l);
-    }
-    aig.cleanup()
-}
-
 // The acceptance stress test: seeded panic/delay/bailout injection at a
 // 15% per-kind rate across *all eight* engines. Every run must complete
 // without aborting, produce a network functionally equivalent to its
 // input (simulation screen + SAT gate, via `equivalent`), and report a
 // `FaultSummary` that matches the injected-fault ledger exactly. Across
-// the seeds the retry ladder must demonstrably rescue some attempts.
+// the seeds the retry ladder must demonstrably rescue some attempts. Each
+// engine runs as its own pass over a multi-window design.
 #[test]
 fn all_engine_fault_stress_completes_equivalent_with_exact_ledger() {
+    let engines: Vec<Box<dyn Engine>> = vec![
+        Box::new(Balance),
+        Box::new(Rewrite::default()),
+        Box::new(Refactor::default()),
+        Box::new(Resub::default()),
+        Box::new(Mspf::default()),
+        Box::new(Bdiff::default()),
+        Box::new(Hetero::default()),
+        Box::new(Gradient {
+            options: GradientOptions {
+                budget: 20,
+                budget_extension: 0,
+                ..Default::default()
+            },
+        }),
+    ];
+    let budget = Budget::unlimited();
     let mut total_injected = 0usize;
     let mut total_retry_successes = 0usize;
-    for seed in [1u64, 2, 3] {
-        let aig = stress_aig(seed);
-        let options = PipelineOptions {
-            num_threads: 2,
-            partition: PartitionOptions {
-                max_nodes: 30,
-                max_inputs: 10,
-                max_levels: 12,
-            },
-            min_window: 2,
-            fault_plan: Some(FaultPlan::uniform(seed, 0.15)),
-            ..PipelineOptions::default()
-        };
-        let run = Pipeline::new(options)
-            .with_engine(Balance)
-            .with_engine(Rewrite::default())
-            .with_engine(Refactor::default())
-            .with_engine(Resub::default())
-            .with_engine(Mspf::default())
-            .with_engine(Bdiff::default())
-            .with_engine(Hetero::default())
-            .with_engine(Gradient {
-                options: GradientOptions {
-                    budget: 20,
-                    budget_extension: 0,
-                    ..Default::default()
-                },
-            })
-            .run(&aig);
+    for (seed, name) in [(1u64, "arbiter"), (2, "priority"), (3, "router")] {
+        let aig = design(name);
+        let plan = FaultPlan::uniform(seed, 0.15);
+        let ctx = EngineCtx::new(&budget)
+            .with_threads(2)
+            .with_fault_plan(Some(&plan));
+        let mut cur = aig.clone();
+        for engine in &engines {
+            let run = pass(&cur, engine.as_ref(), &ctx);
+            let report = &run.stats;
+            assert!(
+                report.windows_total >= 8,
+                "{name}/{}: too few windows",
+                engine.name()
+            );
+            assert!(report.is_consistent(), "{name}: {report:?}");
+            // Window indices restart with every pass, so the ledger
+            // replays pass by pass.
+            if let Err(mismatch) = assert_ledger_exact(report) {
+                panic!("{name}/{}: {mismatch}\n{:?}", engine.name(), report.fault);
+            }
+            total_injected += report.fault.injected.len();
+            total_retry_successes += report
+                .fault
+                .per_engine
+                .iter()
+                .map(|(_, c)| c.retry_successes)
+                .sum::<usize>();
+            cur = run.aig;
+        }
         assert!(
-            equivalent(&aig, &run.aig),
+            equivalent(&aig, &cur),
             "seed {seed}: injection broke function"
         );
-        assert!(run.stats.is_consistent(), "seed {seed}: {:?}", run.stats);
-        if let Err(mismatch) = assert_ledger_exact(&run.stats) {
-            panic!("seed {seed}: {mismatch}\n{:?}", run.stats.fault);
-        }
-        total_injected += run.stats.fault.injected.len();
-        total_retry_successes += run
-            .stats
-            .fault
-            .per_engine
-            .iter()
-            .map(|(_, c)| c.retry_successes)
-            .sum::<usize>();
     }
     assert!(total_injected > 0, "stress plan never fired");
     assert!(

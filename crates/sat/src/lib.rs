@@ -13,7 +13,7 @@
 //!   literals, VSIDS-style activities, phase saving and restarts;
 //! * [`cnf`] — Tseitin encoding of AIGs;
 //! * [`equiv`] — miter-based combinational equivalence checking;
-//! * [`sweep`] — SAT sweeping (merge functionally equivalent nodes);
+//! * [`sweep`](mod@sweep) — SAT sweeping (merge functionally equivalent nodes);
 //! * [`redundancy`] — SAT-based redundancy removal.
 //!
 //! # Example

@@ -249,8 +249,7 @@ pub(crate) fn decode_result(payload: &[u8]) -> Result<JobResult, StoreError> {
 /// The on-disk job store rooted at one directory.
 ///
 /// All I/O flows through the store's [`Vfs`]; every operation retries
-/// up to [`IO_ATTEMPTS`] times (attempt-keyed, so injected faults
-/// re-roll) before surfacing an error. Retries consumed are counted
+/// up to 8 times (attempt-keyed, so injected faults re-roll) before surfacing an error. Retries consumed are counted
 /// for the report's `server.retries` field.
 #[derive(Debug, Clone)]
 pub struct Store {

@@ -412,23 +412,6 @@ impl VfsFile for ChaosFile {
         }
     }
 
-    fn read_to_end(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
-        // Handle-level reads are left clean; whole-file reads via
-        // `Vfs::read` carry the corruption fault.
-        self.inner.read_to_end(buf)
-    }
-
-    fn sync_data(&mut self) -> std::io::Result<()> {
-        match self.vfs.roll_op(&self.path, IoOp::Fsync) {
-            Some((IoFaultKind::FsyncFail, _)) => Err(injected_err(
-                IoFaultKind::FsyncFail,
-                &self.path,
-                "fdatasync refused",
-            )),
-            _ => self.inner.sync_data(),
-        }
-    }
-
     fn sync_all(&mut self) -> std::io::Result<()> {
         match self.vfs.roll_op(&self.path, IoOp::Fsync) {
             Some((IoFaultKind::FsyncFail, _)) => Err(injected_err(
@@ -439,29 +422,12 @@ impl VfsFile for ChaosFile {
             _ => self.inner.sync_all(),
         }
     }
-
-    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
-        self.inner.set_len(len)
-    }
-
-    fn seek_end(&mut self) -> std::io::Result<u64> {
-        self.inner.seek_end()
-    }
 }
 
 impl Vfs for ChaosVfs {
     fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
         self.roll_op(path, IoOp::Create);
         let inner = self.inner.create(path)?;
-        Ok(Box::new(ChaosFile {
-            inner,
-            path: path.to_path_buf(),
-            vfs: self.clone(),
-        }))
-    }
-
-    fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
-        let inner = self.inner.open_rw(path)?;
         Ok(Box::new(ChaosFile {
             inner,
             path: path.to_path_buf(),

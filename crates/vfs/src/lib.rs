@@ -17,7 +17,7 @@
 pub mod chaos;
 
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 pub use chaos::{ChaosVfs, InjectedIoFault, IoFaultKind, IoFaultPlan, IoOp};
@@ -34,35 +34,11 @@ pub trait VfsFile: Send {
     /// I/O failure; a chaos impl may fail after writing a prefix.
     fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()>;
 
-    /// Appends the file's remaining bytes to `buf`.
-    ///
-    /// # Errors
-    /// I/O failure.
-    fn read_to_end(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize>;
-
-    /// Durably flushes file *content* (`fdatasync` class).
-    ///
-    /// # Errors
-    /// I/O failure; a chaos impl may report a failed fsync.
-    fn sync_data(&mut self) -> std::io::Result<()>;
-
     /// Durably flushes content and metadata (`fsync` class).
     ///
     /// # Errors
     /// I/O failure; a chaos impl may report a failed fsync.
     fn sync_all(&mut self) -> std::io::Result<()>;
-
-    /// Truncates (or extends) the file to `len` bytes.
-    ///
-    /// # Errors
-    /// I/O failure.
-    fn set_len(&mut self, len: u64) -> std::io::Result<()>;
-
-    /// Seeks to the end, returning the new offset.
-    ///
-    /// # Errors
-    /// I/O failure.
-    fn seek_end(&mut self) -> std::io::Result<u64>;
 }
 
 /// The filesystem operations SBM's durability layer is built from.
@@ -75,12 +51,6 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
     /// # Errors
     /// I/O failure.
     fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>>;
-
-    /// Opens an existing file for read+write without truncating.
-    ///
-    /// # Errors
-    /// I/O failure (including not-found).
-    fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>>;
 
     /// Reads the whole file.
     ///
@@ -163,24 +133,8 @@ impl VfsFile for fs::File {
         Write::write_all(self, buf)
     }
 
-    fn read_to_end(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
-        Read::read_to_end(self, buf)
-    }
-
-    fn sync_data(&mut self) -> std::io::Result<()> {
-        fs::File::sync_data(self)
-    }
-
     fn sync_all(&mut self) -> std::io::Result<()> {
         fs::File::sync_all(self)
-    }
-
-    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
-        fs::File::set_len(self, len)
-    }
-
-    fn seek_end(&mut self) -> std::io::Result<u64> {
-        self.seek(SeekFrom::End(0))
     }
 }
 
@@ -191,11 +145,6 @@ impl Vfs for RealVfs {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(Box::new(f))
-    }
-
-    fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
-        let f = fs::OpenOptions::new().read(true).write(true).open(path)?;
         Ok(Box::new(f))
     }
 
@@ -266,7 +215,7 @@ mod tests {
 
         let mut f = vfs.create(&path).expect("create");
         f.write_all(b"hello").expect("write");
-        f.sync_data().expect("sync");
+        f.sync_all().expect("sync");
         drop(f);
         assert_eq!(vfs.read(&path).expect("read"), b"hello");
         assert!(vfs.exists(&path));
@@ -281,27 +230,6 @@ mod tests {
 
         vfs.remove_file(&renamed).expect("remove");
         assert!(vfs.list_dir(&dir).expect("list").is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_rw_appends_without_truncating() {
-        let dir = tmp_dir("rw");
-        let vfs = RealVfs;
-        let path = dir.join("wal.bin");
-        vfs.write_atomic(&path, b"head").expect("seed");
-
-        let mut f = vfs.open_rw(&path).expect("open");
-        assert_eq!(f.seek_end().expect("seek"), 4);
-        f.write_all(b"+tail").expect("append");
-        f.sync_data().expect("sync");
-        drop(f);
-        assert_eq!(vfs.read(&path).expect("read"), b"head+tail");
-
-        let mut f = vfs.open_rw(&path).expect("open");
-        f.set_len(4).expect("truncate");
-        drop(f);
-        assert_eq!(vfs.read(&path).expect("read"), b"head");
         let _ = fs::remove_dir_all(&dir);
     }
 

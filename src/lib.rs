@@ -19,9 +19,9 @@
 //! ([`lutmap`]). The [`check`] crate validates the structural invariants of
 //! the AIG/BDD/SOP representations; the optimization pipeline can run with
 //! those checks at every engine boundary (see
-//! [`core::pipeline::PipelineOptions::check_level`]), and the [`budget`]
+//! [`core::engine::EngineCtx::check_level`]), and the [`budget`]
 //! crate bounds engine effort with wall-clock deadlines and cooperative
-//! cancellation (see [`core::pipeline::PipelineOptions::budget`]). The
+//! cancellation (see [`core::engine::EngineCtx::budget`]). The
 //! [`journal`] crate persists a script run after every step, so an
 //! interrupted run resumes where it stopped
 //! ([`core::script::sbm_script_resumable`]).

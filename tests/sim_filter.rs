@@ -1,3 +1,7 @@
+// Test code: a panic IS the failure report (clippy.toml only relaxes
+// unwrap/expect inside #[test] fns, not test-file helpers).
+#![allow(clippy::expect_used, clippy::unwrap_used)]
+
 //! Cross-crate tests of the shared simulation-signature service: the
 //! filter must reject most of mspf's candidate work on real benchmarks
 //! without costing any quality, stay deterministic across worker-thread
@@ -5,6 +9,7 @@
 //! would accept.
 
 use proptest::prelude::*;
+use sbm::aig::aiger::write as write_aiger;
 use sbm::aig::{Aig, Lit, NodeId};
 use sbm::budget::Budget;
 use sbm::core::engine::{Engine, EngineCtx, Mspf};
@@ -69,33 +74,53 @@ fn mspf_filter_rejects_most_candidates_without_losing_quality() {
     );
 }
 
-/// The service's determinism contract, observed end to end: the same
-/// script run produces the same result *and* the same sim-filter
-/// counters no matter how many worker threads execute it.
+/// The determinism contract, observed end to end: the same script run
+/// produces a byte-identical network *and* the same sim-filter counters
+/// no matter how many worker threads execute it — with the filter on,
+/// and with it off (the filter only skips work; it never picks the
+/// schedule).
 #[test]
 fn sim_counters_identical_across_thread_counts() {
-    let aig = generate("i2c", Scale::Reduced).expect("known benchmark");
+    assert_thread_invariant("i2c", true);
+    for name in ["arbiter", "priority"] {
+        assert_thread_invariant(name, false);
+    }
+}
+
+/// Runs the default script on reduced `name` at 1, 2 and 4 threads and
+/// requires identical AIGER output and sim counters.
+fn assert_thread_invariant(name: &str, sim_filter: bool) {
+    let aig = generate(name, Scale::Reduced).expect("known benchmark");
     let runs: Vec<_> = [1usize, 2, 4]
         .into_iter()
         .map(|threads| {
             let options = SbmOptions::builder()
                 .num_threads(threads)
+                .sim_filter(sim_filter)
                 .build()
                 .expect("valid options");
             sbm_script_report(&aig, &options)
         })
         .collect();
     let reference = &runs[0];
-    assert!(
-        reference.stats.sim.filter_hits + reference.stats.sim.filter_misses > 0,
-        "sim filter must be live in the default script"
+    let screened = reference.stats.sim.filter_hits + reference.stats.sim.filter_misses;
+    assert_eq!(
+        screened > 0,
+        sim_filter,
+        "{name}: the sim filter must screen candidates exactly when it is on"
     );
-    for run in &runs[1..] {
+    let reference_aiger = write_aiger(&reference.aig);
+    for (run, threads) in runs[1..].iter().zip([2, 4]) {
         assert_eq!(
             run.stats.sim, reference.stats.sim,
-            "sim counters must not depend on the thread count"
+            "{name} (sim filter {sim_filter}): sim counters changed at {threads} threads"
         );
-        assert_eq!(run.aig.num_ands(), reference.aig.num_ands());
+        assert!(
+            write_aiger(&run.aig) == reference_aiger,
+            "{name} (sim filter {sim_filter}): network changed at {threads} threads ({} vs {} ANDs)",
+            run.aig.num_ands(),
+            reference.aig.num_ands()
+        );
     }
 }
 
