@@ -113,7 +113,7 @@ cargo test -q
 echo "==> cargo test -p sbm-check"
 cargo test -q -p sbm-check
 
-# Fault-injection smoke: seeded panics/delays/bailouts across all eight
+# Fault-injection smoke: seeded panics/delays/bailouts across all ten
 # engines must complete, stay equivalent, and ledger exactly. Fixed seeds
 # inside the test keep this deterministic and bounded (sub-second).
 echo "==> fault-injection smoke"

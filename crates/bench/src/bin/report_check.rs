@@ -5,7 +5,8 @@
 //!
 //! The file must decode via `RunReport::from_json` (strict: a missing,
 //! unknown or mistyped field, or a schema-version mismatch, fails) and
-//! re-encode byte-identically. `--require-bdd` additionally demands
+//! re-encode byte-identically, and no engine row may report more
+//! accepted moves than it tried. `--require-bdd` additionally demands
 //! nonzero aggregated BDD counters and a nonempty per-engine latency
 //! histogram — the layers this schema exists to stop discarding.
 //! `--require-sim` demands live simulation-filter counters (some
@@ -45,6 +46,12 @@ fn main() {
     }
     if report.tool.is_empty() {
         fail(&format!("{path} names no producing tool"));
+    }
+    if let Some(e) = report.engines.iter().find(|e| e.accepted > e.tried) {
+        fail(&format!(
+            "{path}: engine {} accepted {} of {} tried moves",
+            e.name, e.accepted, e.tried
+        ));
     }
 
     if require_bdd {

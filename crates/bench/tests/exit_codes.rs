@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use sbm_metrics::{exit, RunReport};
+use sbm_metrics::{exit, EngineReport, RunReport};
 
 fn code_of(bin: &str, args: &[&str]) -> i32 {
     Command::new(bin)
@@ -43,6 +43,21 @@ fn report_check_distinguishes_ok_validation_usage_and_runtime() {
     // 1 — the tool ran and rejected the input.
     let bad = tmp_file("bad", "this is not a run report");
     assert_eq!(code_of(bin, &[bad.to_str().unwrap()]), exit::VALIDATION);
+    let overcounted = RunReport {
+        tool: "exit-codes".to_string(),
+        engines: vec![EngineReport {
+            name: "resub".to_string(),
+            tried: 1,
+            accepted: 2,
+            ..EngineReport::default()
+        }],
+        ..RunReport::default()
+    };
+    let overcounted = tmp_file("overcounted", &overcounted.to_json());
+    assert_eq!(
+        code_of(bin, &[overcounted.to_str().unwrap()]),
+        exit::VALIDATION
+    );
 
     // 2 — no path given.
     assert_eq!(code_of(bin, &[]), exit::USAGE);
@@ -55,6 +70,7 @@ fn report_check_distinguishes_ok_validation_usage_and_runtime() {
 
     let _ = std::fs::remove_file(good);
     let _ = std::fs::remove_file(bad);
+    let _ = std::fs::remove_file(overcounted);
 }
 
 #[test]

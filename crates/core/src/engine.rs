@@ -3,8 +3,8 @@
 //! Every Boolean/algebraic engine in this crate is reachable through the
 //! [`Engine`] trait: a named pass that maps an AIG to an optimized AIG
 //! plus uniform [`EngineStats`]. The trait is what the parallel pipeline
-//! (see [`crate::pipeline`]) schedules over windows, and what scripts
-//! compose into sequences.
+//! (see [`crate::pipeline`]) schedules over windows, and what the script
+//! step table (see [`crate::script`]) composes into sequences.
 //!
 //! Engines are `Send + Sync` — a single engine value may be shared by
 //! many worker threads, each running it on a disjoint window.
@@ -14,8 +14,10 @@ use std::time::Duration;
 
 use sbm_aig::Aig;
 use sbm_budget::Budget;
-use sbm_check::{check_aig, sim_spot_check, CheckError, CheckLevel, FaultPlan};
+use sbm_check::{check_aig, sim_spot_check, CheckCode, CheckError, CheckLevel, FaultPlan};
 use sbm_metrics::Timer;
+use sbm_sat::redundancy::{remove_redundancies, RedundancyOptions};
+use sbm_sat::sweep::{sweep, SweepOptions};
 use sbm_sim::SigService;
 
 use crate::balance::balance;
@@ -127,10 +129,12 @@ impl<'a> EngineCtx<'a> {
 /// Uniform per-engine statistics (the paper's cost/benefit bookkeeping).
 ///
 /// Engines with richer native stats (e.g. [`crate::bdiff::BdiffStats`])
-/// project onto these fields.
+/// project onto these fields; internal partition counts stay in the
+/// native stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Windows / partitions processed (0 for non-windowed engines).
+    /// Windows [`crate::pipeline::pass`] ran the engine on (0 for a
+    /// whole-network run).
     pub windows: usize,
     /// Candidate moves evaluated.
     pub tried: usize,
@@ -166,15 +170,6 @@ impl EngineStats {
     }
 }
 
-/// What an engine pass produces: the optimized AIG plus its stats.
-#[derive(Debug, Clone)]
-pub struct EngineResult {
-    /// The optimized network (never larger than the input).
-    pub aig: Aig,
-    /// Uniform statistics of the pass.
-    pub stats: EngineStats,
-}
-
 /// An optimized AIG paired with engine-native statistics. Replaces the
 /// bare `(Aig, Stats)` tuples of the pre-trait API.
 #[derive(Debug, Clone)]
@@ -184,6 +179,10 @@ pub struct Optimized<S> {
     /// Engine-native statistics.
     pub stats: S,
 }
+
+/// What an engine pass produces: the optimized AIG (never larger than
+/// the input) plus its uniform stats.
+pub type EngineResult = Optimized<EngineStats>;
 
 /// A named optimization pass over an AIG.
 pub trait Engine: Send + Sync {
@@ -240,29 +239,65 @@ impl fmt::Display for CheckViolation {
     }
 }
 
-/// Runs `engine` bracketed by invariant checks: the input must pass
+/// The `"pre"` check: `input` must satisfy every AIG invariant
+/// ([`check_aig`]) before `engine` may touch it. Run it on the raw
+/// network — cleanup resolves replacement chains and would loop on a
+/// corrupted redirection map.
+pub(crate) fn check_input(
+    engine: &str,
+    window: Option<usize>,
+    input: &Aig,
+) -> Result<(), CheckViolation> {
+    check_aig(input).map_err(|error| CheckViolation {
+        engine: engine.to_string(),
+        stage: "pre",
+        window,
+        error,
+    })
+}
+
+/// The output check: `output` must satisfy every AIG invariant
+/// ([`check_aig`]) and agree with `input` on the 64 patterns of
+/// [`sim_spot_check`]. A functional mismatch is a `"sim"` violation, a
+/// broken invariant a `"post"` one.
+pub(crate) fn check_output(
+    engine: &str,
+    window: Option<usize>,
+    input: &Aig,
+    output: &Aig,
+) -> Result<(), CheckViolation> {
+    check_aig(output)
+        .and_then(|()| sim_spot_check(input, output, SPOT_CHECK_SEED))
+        .map_err(|error| CheckViolation {
+            engine: engine.to_string(),
+            stage: if error.code == CheckCode::SimMismatch {
+                "sim"
+            } else {
+                "post"
+            },
+            window,
+            error,
+        })
+}
+
+/// Runs `engine` at the check level of `ctx`. Below
+/// [`CheckLevel::Paranoid`] this is [`Engine::optimize`]. At `Paranoid`
+/// the invocation is bracketed by invariant checks: the input must pass
 /// [`check_aig`] (otherwise the engine is not run at all), and the
 /// output must pass both [`check_aig`] and a 64-pattern
 /// [`sim_spot_check`] against the input. A violating result is
 /// **discarded** — the input passes through unchanged — and the
 /// violation is reported, attributed to `engine` and `window`.
-///
-/// This is the primitive behind [`CheckLevel::Paranoid`]; callers at
-/// `Off` should invoke [`Engine::optimize`] directly (this wrapper costs
-/// two structural walks and two simulation sweeps per invocation).
 pub fn run_checked(
     engine: &dyn Engine,
     aig: &Aig,
     ctx: &EngineCtx<'_>,
     window: Option<usize>,
 ) -> (EngineResult, Vec<CheckViolation>) {
-    let violation = |stage, error| CheckViolation {
-        engine: engine.name().to_string(),
-        stage,
-        window,
-        error,
-    };
-    if let Err(error) = check_aig(aig) {
+    if !ctx.check_level().per_engine() {
+        return (engine.optimize(aig, ctx), Vec::new());
+    }
+    if let Err(violation) = check_input(engine.name(), window, aig) {
         // Never hand a corrupted network to an engine: the resolving
         // accessors could loop or panic on it.
         return (
@@ -270,28 +305,19 @@ pub fn run_checked(
                 aig: aig.clone(),
                 stats: EngineStats::default(),
             },
-            vec![violation("pre", error)],
+            vec![violation],
         );
     }
     let result = engine.optimize(aig, ctx);
-    let error =
-        check_aig(&result.aig).and_then(|()| sim_spot_check(aig, &result.aig, SPOT_CHECK_SEED));
-    match error {
+    match check_output(engine.name(), window, aig, &result.aig) {
         Ok(()) => (result, Vec::new()),
-        Err(error) => {
-            let stage = if error.code == sbm_check::CheckCode::SimMismatch {
-                "sim"
-            } else {
-                "post"
-            };
-            (
-                EngineResult {
-                    aig: aig.clone(),
-                    stats: result.stats,
-                },
-                vec![violation(stage, error)],
-            )
-        }
+        Err(violation) => (
+            EngineResult {
+                aig: aig.clone(),
+                stats: result.stats,
+            },
+            vec![violation],
+        ),
     }
 }
 
@@ -400,8 +426,8 @@ impl Engine for Resub {
             aig,
             |a| resub_impl(a, &self.options),
             |native, stats| {
+                stats.tried = native.searched;
                 stats.accepted = native.zero_resubs + native.one_resubs;
-                stats.tried = stats.accepted;
             },
         )
     }
@@ -425,7 +451,9 @@ impl Engine for Mspf {
             |a| mspf_optimize_filtered(a, &self.options, ctx.budget(), ctx.sim()),
             |native, stats| {
                 stats.tried = native.mspf_computed;
-                stats.accepted = native.replaced + native.constants;
+                // A constant replacement counts in both `replaced` and
+                // `constants`; `replaced` alone counts each node once.
+                stats.accepted = native.replaced;
                 stats.bailouts = native.bailouts;
             },
         )
@@ -456,7 +484,6 @@ impl Engine for Bdiff {
             aig,
             |a| boolean_difference_resub_filtered(a, &self.options, ctx.budget(), ctx.sim()),
             |native, stats| {
-                stats.windows = native.windows;
                 stats.tried = native.pairs_tried;
                 stats.accepted = native.accepted;
                 stats.bailouts = native.bailouts;
@@ -493,7 +520,6 @@ impl Engine for Hetero {
             aig,
             |a| hetero_eliminate_kernel_impl(a, &self.options, ctx.num_threads()),
             |native, stats| {
-                stats.windows = native.partitions;
                 stats.tried = native.partitions;
                 stats.accepted = native.improved;
             },
@@ -535,6 +561,70 @@ impl Engine for Gradient {
     }
 }
 
+/// SAT sweeping ([`sbm_sat::sweep()`]) as an [`Engine`]: merges
+/// proven-equivalent nodes. With a simulation service in the context,
+/// every refutation witness the sweep's SAT calls produce is recorded
+/// as a counterexample — each one is a pattern random simulation missed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sweep {
+    /// Pass options.
+    pub options: SweepOptions,
+}
+
+impl Engine for Sweep {
+    fn name(&self) -> &str {
+        "sweep"
+    }
+
+    fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
+        timed(
+            aig,
+            |a| {
+                let mut work = a.cleanup();
+                let outcome = sweep(&mut work, &self.options);
+                if let Some(svc) = ctx.sim() {
+                    for witness in &outcome.witnesses {
+                        svc.record_cex(witness);
+                    }
+                }
+                (work.cleanup(), outcome.stats)
+            },
+            |native, stats| {
+                stats.tried = native.merged + native.refuted + native.undecided;
+                stats.accepted = native.merged;
+            },
+        )
+    }
+}
+
+/// SAT-based redundancy removal ([`remove_redundancies`]) as an
+/// [`Engine`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Redundancy {
+    /// Pass options.
+    pub options: RedundancyOptions,
+}
+
+impl Engine for Redundancy {
+    fn name(&self) -> &str {
+        "redundancy"
+    }
+
+    fn optimize(&self, aig: &Aig, _ctx: &EngineCtx<'_>) -> EngineResult {
+        timed(
+            aig,
+            |a| {
+                let run = remove_redundancies(a, &self.options);
+                (run.aig, run.stats)
+            },
+            |native, stats| {
+                stats.tried = native.checks;
+                stats.accepted = native.removed;
+            },
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,6 +654,8 @@ mod tests {
             Box::new(Bdiff::default()),
             Box::new(Hetero::default()),
             Box::new(Gradient::default()),
+            Box::new(Sweep::default()),
+            Box::new(Redundancy::default()),
         ]
     }
 
@@ -591,6 +683,28 @@ mod tests {
                 engine.name()
             );
         }
+    }
+
+    #[test]
+    fn mspf_counts_a_constant_replacement_once() {
+        // f = a & b is observable at the output only through g = f & !a,
+        // i.e. when a = 0, where f = 0: MSPF replaces f by the constant.
+        let mut aig = Aig::new();
+        let a = aig.add_input();
+        let b = aig.add_input();
+        let c = aig.add_input();
+        let f = aig.and(a, b);
+        let g = aig.and(f, !a);
+        let out = aig.xor(g, c);
+        aig.add_output(out);
+        let budget = Budget::unlimited();
+        let mspf = Mspf::default();
+        let (_, native) = mspf_optimize_filtered(&aig, &mspf.options, &budget, None);
+        assert!(native.constants > 0, "{native:?}");
+        let run = mspf.optimize(&aig, &EngineCtx::new(&budget));
+        assert_eq!(run.stats.accepted, native.replaced);
+        assert!(run.stats.accepted <= run.stats.tried, "{:?}", run.stats);
+        assert!(equivalent(&aig, &run.aig));
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! The top-level entry points live in [`script`]: [`script::resyn2rs`]
 //! (the ABC-style baseline the paper compares against) and
 //! [`script::sbm_script_report`] (the paper's Boolean resynthesis flow,
-//! Section V-A). Each windowed script step runs its engine over the whole
-//! network through [`pipeline::pass`], which fans the windows out over
-//! worker threads; every setting of a pass comes from its
+//! Section V-A). Both are one step table of [`engine::Engine`]s: each
+//! windowed step runs its engine through [`pipeline::pass`], which fans
+//! the windows out over worker threads, and each whole-network step runs
+//! it once on the calling thread; every setting of a run comes from its
 //! [`engine::EngineCtx`].
 //!
 //! Every entry point can run in *checked mode*

@@ -40,6 +40,8 @@ impl Default for ResubOptions {
 /// Statistics of a resubstitution pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResubStats {
+    /// Nodes a replacement was searched for (live, with a nonempty MFFC).
+    pub searched: usize,
     /// Direct divisor replacements.
     pub zero_resubs: usize,
     /// Two-divisor gate replacements.
@@ -75,6 +77,7 @@ pub(crate) fn resub_impl(aig: &Aig, options: &ResubOptions) -> (Aig, ResubStats)
             if saving == 0 {
                 continue;
             }
+            stats.searched += 1;
             let mut replacement: Option<(Lit, usize)> = None; // (lit, cost)
 
             // 0-resub: an existing divisor (either phase) matches exactly.
@@ -170,6 +173,7 @@ fn build_gate(aig: &mut Aig, code: u8, l1: Lit, l2: Lit) -> Lit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, EngineCtx, Resub};
     use sbm_sat::{EquivalenceOracle, MiterOracle, Verdict};
 
     #[test]
@@ -214,6 +218,29 @@ mod tests {
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent
         );
+    }
+
+    #[test]
+    fn counts_every_searched_node() {
+        // One redundant node (f == g) among irreplaceable ones: every live
+        // node is searched, only f finds a replacement.
+        let mut aig = Aig::new();
+        let a = aig.add_input();
+        let b = aig.add_input();
+        let c = aig.add_input();
+        let g = aig.and(a, b);
+        let o = aig.or(a, b);
+        let f = aig.and(g, o);
+        let m = aig.maj3(a, b, c);
+        aig.add_output(g);
+        aig.add_output(f);
+        aig.add_output(m);
+        let budget = sbm_budget::Budget::unlimited();
+        let stats = Resub::default()
+            .optimize(&aig, &EngineCtx::new(&budget))
+            .stats;
+        assert!(stats.accepted >= 1, "{stats:?}");
+        assert!(stats.tried > stats.accepted, "{stats:?}");
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! paper's Boolean resynthesis script (Section V-A): baseline AIG optimization +
 //! the four SBM engines + SAT sweeping and redundancy removal, iterated
 //! twice with different efforts.
+//!
+//! Both scripts are written once, as a step table of [`Engine`]s, each
+//! with its schedule: windowed through [`pass`], or once over the whole
+//! network. One step runner executes every entry and records its
+//! [`EngineStats`](crate::engine::EngineStats) row in the run's
+//! [`PipelineReport`].
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -15,19 +21,19 @@ use std::time::Duration;
 
 use sbm_aig::Aig;
 use sbm_budget::Budget;
-use sbm_check::{check_aig, sim_spot_check, CheckCode, CheckLevel, FaultPlan};
+use sbm_check::{CheckLevel, FaultPlan};
 use sbm_journal::{
     read_aig_snapshot, write_aig_snapshot, Fnv64, JournalError, ResumeSummary, SCRIPT_STATE_FILE,
 };
-use sbm_sat::redundancy::{remove_redundancies, RedundancyOptions};
-use sbm_sat::sweep::{sweep, sweep_collect, SweepOptions};
+use sbm_metrics::Histogram;
+use sbm_sat::redundancy::RedundancyOptions;
+use sbm_sat::sweep::SweepOptions;
 use sbm_sim::SigService;
 
-use crate::balance::balance;
 use crate::bdiff::BdiffOptions;
-use crate::engine::{self, CheckViolation, Engine, EngineCtx, Optimized, SPOT_CHECK_SEED};
-use crate::gradient::{gradient_optimize_filtered, GradientOptions};
-use crate::hetero::{hetero_eliminate_kernel_impl, HeteroOptions};
+use crate::engine::{self, check_input, check_output, run_checked, Engine, EngineCtx, Optimized};
+use crate::gradient::GradientOptions;
+use crate::hetero::HeteroOptions;
 use crate::mspf::MspfOptions;
 use crate::pipeline::{pass, PipelineReport};
 use crate::refactor::RefactorOptions;
@@ -76,66 +82,6 @@ fn bank_tallies(report: &mut PipelineReport, ctx: &StepCtx<'_>) {
     }
 }
 
-/// Applies a transformation, keeping the result only when it does not
-/// increase node count (every SBM move has gain ≥ 0, Section IV-A).
-fn guarded(aig: Aig, f: impl FnOnce(&Aig) -> Aig) -> Aig {
-    let candidate = f(&aig);
-    if candidate.num_ands() <= aig.num_ands() {
-        candidate
-    } else {
-        aig
-    }
-}
-
-/// [`guarded`] with `Paranoid` invariant bracketing for the script's
-/// non-windowed phases (balance, gradient, hetero, SAT sweep/redundancy,
-/// which are not [`Engine`]s). Below `Paranoid` this is exactly
-/// [`guarded`]; at `Paranoid` the input must pass [`check_aig`] (or the
-/// phase is skipped) and the candidate must pass [`check_aig`] plus the
-/// 64-pattern [`sim_spot_check`] (or it is discarded). Violations are
-/// pushed into `report.check_violations` under `name`.
-fn checked_guarded(
-    aig: Aig,
-    check: CheckLevel,
-    report: &mut PipelineReport,
-    name: &str,
-    f: impl FnOnce(&Aig) -> Aig,
-) -> Aig {
-    if !check.per_engine() {
-        return guarded(aig, f);
-    }
-    if let Err(error) = check_aig(&aig) {
-        report.check_violations.push(CheckViolation {
-            engine: name.to_string(),
-            stage: "pre",
-            window: None,
-            error,
-        });
-        return aig;
-    }
-    let candidate = f(&aig);
-    let error =
-        check_aig(&candidate).and_then(|()| sim_spot_check(&aig, &candidate, SPOT_CHECK_SEED));
-    match error {
-        Ok(()) if candidate.num_ands() <= aig.num_ands() => candidate,
-        Ok(()) => aig,
-        Err(error) => {
-            let stage = if error.code == CheckCode::SimMismatch {
-                "sim"
-            } else {
-                "post"
-            };
-            report.check_violations.push(CheckViolation {
-                engine: name.to_string(),
-                stage,
-                window: None,
-                error,
-            });
-            aig
-        }
-    }
-}
-
 /// Borrowed observer fired right after a step whose checkpoint snapshot
 /// was persisted, with the [`PipelineReport`] accumulated so far — which
 /// covers exactly the steps that snapshot covers. Embedders that keep
@@ -152,15 +98,12 @@ impl fmt::Debug for ReportSink<'_> {
     }
 }
 
-/// Shared execution context of one script run: the worker threads, check
-/// level, wall-clock budget and fault-injection plan every step inherits,
-/// plus the optional step-grained checkpoint state.
+/// Step-boundary state of one script run: the wall-clock budget, the
+/// optional step-grained checkpoint state and what [`bank_tallies`]
+/// needs between steps.
 #[derive(Debug, Clone)]
 struct StepCtx<'a> {
-    threads: usize,
-    check: CheckLevel,
     budget: Budget,
-    fault_plan: Option<FaultPlan>,
     ckpt: Option<ScriptCkpt>,
     /// Checkpoint-save observer (see [`ReportSink`]); `None` unless the
     /// caller passed one.
@@ -169,21 +112,9 @@ struct StepCtx<'a> {
     /// [`SbmOptions::sim_filter`] is off). Clones of the handle share one
     /// pattern pool, so every step refines the same signatures.
     sim: Option<SigService>,
-    /// [`SbmOptions::canonical_steps`]: every step's output is cleaned
-    /// before the next step sees it, so the live network always equals
-    /// what a snapshot of it would reload as.
+    /// [`SbmOptions::canonical_steps`]: the simulation pool is reset,
+    /// not committed, at every step boundary.
     canonical: bool,
-}
-
-impl StepCtx<'_> {
-    /// The engine context every step of the run shares.
-    fn engine_ctx(&self) -> EngineCtx<'_> {
-        EngineCtx::new(&self.budget)
-            .with_threads(self.threads)
-            .with_check_level(self.check)
-            .with_fault_plan(self.fault_plan.as_ref())
-            .with_sim(self.sim.as_ref())
-    }
 }
 
 /// Step-grained checkpoint state of one script run. Scripts are a fixed
@@ -215,26 +146,27 @@ struct ScriptCkpt {
 }
 
 impl ScriptCkpt {
-    /// Fresh-run setup: create the directory and persist the cleaned
-    /// input as the step-0 snapshot.
-    fn create(
-        dir: &Path,
-        fingerprint: u64,
-        every: usize,
-        cur: &Aig,
-    ) -> Result<ScriptCkpt, JournalError> {
-        sbm_journal::ensure_dir(dir)?;
-        let ck = ScriptCkpt {
+    /// The state of a run under `options` in `dir` that skips the first
+    /// `resume_from` steps.
+    fn new(dir: &Path, options: &SbmOptions, resume_from: u64) -> ScriptCkpt {
+        ScriptCkpt {
             dir: dir.to_path_buf(),
-            every,
-            fingerprint,
-            resume_from: 0,
+            every: options.checkpoint_every.max(1),
+            fingerprint: script_fingerprint(options),
+            resume_from,
             seen: Cell::new(0),
             clean: Cell::new(true),
             error: RefCell::new(None),
             saved: Cell::new(false),
-        };
-        write_aig_snapshot(&ck.dir.join(SCRIPT_STATE_FILE), cur, fingerprint, 0)?;
+        }
+    }
+
+    /// Fresh-run setup: create the directory and persist the cleaned
+    /// input as the step-0 snapshot.
+    fn create(dir: &Path, options: &SbmOptions, cur: &Aig) -> Result<ScriptCkpt, JournalError> {
+        sbm_journal::ensure_dir(dir)?;
+        let ck = ScriptCkpt::new(dir, options, 0);
+        write_aig_snapshot(&ck.dir.join(SCRIPT_STATE_FILE), cur, ck.fingerprint, 0)?;
         Ok(ck)
     }
 
@@ -262,12 +194,12 @@ impl ScriptCkpt {
 /// Runs one script step under the optional checkpoint regime: steps
 /// already covered by the loaded snapshot are skipped (their effect is
 /// baked into the starting network), freshly completed steps are
-/// persisted on the configured cadence. Without checkpointing this is
-/// exactly `f(cur)`.
+/// persisted on the configured cadence. `f` returns a cleaned network
+/// (see [`run_unit`]), so the run continues from exactly the network a
+/// snapshot reloads as. Without checkpointing this is exactly `f(cur)`.
 fn checkpointed(cur: Aig, ctx: &StepCtx<'_>, f: impl FnOnce(Aig) -> Aig) -> Aig {
     let Some(ck) = &ctx.ckpt else {
-        let next = f(cur);
-        return if ctx.canonical { next.cleanup() } else { next };
+        return f(cur);
     };
     let step_no = ck.seen.get() + 1;
     ck.seen.set(step_no);
@@ -275,9 +207,6 @@ fn checkpointed(cur: Aig, ctx: &StepCtx<'_>, f: impl FnOnce(Aig) -> Aig) -> Aig 
         return cur;
     }
     let next = f(cur);
-    // Canonical mode: continue from exactly the network a snapshot would
-    // reload as, so a park-and-resume replays this run bit for bit.
-    let next = if ctx.canonical { next.cleanup() } else { next };
     if ck.clean.get() {
         if ctx.budget.check().is_err() {
             // The budget expired somewhere inside this step; its output
@@ -286,84 +215,162 @@ fn checkpointed(cur: Aig, ctx: &StepCtx<'_>, f: impl FnOnce(Aig) -> Aig) -> Aig 
             // clean snapshot.
             ck.clean.set(false);
         } else if (step_no as usize).is_multiple_of(ck.every.max(1)) {
-            if ctx.canonical {
-                ck.save(&next, step_no);
-            } else {
-                ck.save(&next.cleanup(), step_no);
-            }
+            ck.save(&next, step_no);
         }
     }
     next
 }
 
-/// The `resyn2rs`-style baseline script: balance, resub, rewrite and
-/// refactor passes with growing resubstitution windows, mirroring ABC's
-/// `b; rs; rw; rs -K 6; rf; rs -K 8; b; rs -K 10; rw; rs -K 12; rf; b`.
-/// Each engine runs once over the whole network on the calling thread.
-pub fn resyn2rs(aig: &Aig) -> Aig {
-    let budget = Budget::unlimited();
-    let ctx = EngineCtx::new(&budget);
-    resyn2rs_steps(
-        aig,
-        CheckLevel::Off,
-        &mut PipelineReport::default(),
-        |cur, _, engine| guarded(cur, |a| engine.optimize(a, &ctx).aig),
-    )
+/// How the step runner schedules one engine of the step table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Schedule {
+    /// Over disjoint windows through [`pass`], fanned out over the run's
+    /// workers.
+    Windowed,
+    /// Once over the whole network on the calling thread, through
+    /// [`run_checked`].
+    Whole,
 }
 
-fn resub_opts(max_inputs: usize) -> ResubOptions {
-    ResubOptions {
-        partition: sbm_aig::window::PartitionOptions {
-            max_nodes: 200,
-            max_inputs,
-            max_levels: 10,
-        },
+/// One checkpoint unit of the step table: engines run in order, each on
+/// its schedule.
+type Unit = Vec<(Box<dyn Engine>, Schedule)>;
+
+/// The [`resyn2rs`] step sequence. Balancing always runs over the whole
+/// network; the other engines run on `schedule`.
+fn resyn2rs_unit(schedule: Schedule) -> Unit {
+    let balance =
+        || -> (Box<dyn Engine>, Schedule) { (Box::new(engine::Balance), Schedule::Whole) };
+    let rewrite =
+        || -> (Box<dyn Engine>, Schedule) { (Box::new(engine::Rewrite::default()), schedule) };
+    let rs = |max_inputs: usize| -> (Box<dyn Engine>, Schedule) {
+        let options = ResubOptions {
+            partition: sbm_aig::window::PartitionOptions {
+                max_nodes: 200,
+                max_inputs,
+                max_levels: 10,
+            },
+            ..Default::default()
+        };
+        (Box::new(engine::Resub { options }), schedule)
+    };
+    let rf = |options: RefactorOptions| -> (Box<dyn Engine>, Schedule) {
+        (Box::new(engine::Refactor { options }), schedule)
+    };
+    let deep = RefactorOptions {
+        max_support: 14,
         ..Default::default()
+    };
+    vec![
+        balance(),
+        rs(6),
+        rewrite(),
+        rs(8),
+        rf(RefactorOptions::default()),
+        rs(10),
+        balance(),
+        rs(12),
+        rewrite(),
+        rf(deep),
+        balance(),
+    ]
+}
+
+/// The step table of one SBM script iteration: the 8 checkpoint units of
+/// [`sbm_script_report`], in order. Iterations after the first run at
+/// high effort.
+fn step_table(options: &SbmOptions, iteration: usize) -> [Unit; 8] {
+    let high_effort = iteration > 0;
+    let whole = |e: Box<dyn Engine>| vec![(e, Schedule::Whole)];
+    let windowed = |e: Box<dyn Engine>| vec![(e, Schedule::Windowed)];
+    [
+        resyn2rs_unit(Schedule::Windowed),
+        whole(Box::new(engine::Gradient {
+            options: options.gradient.clone(),
+        })),
+        whole(Box::new(engine::Hetero {
+            options: options.hetero.clone(),
+        })),
+        windowed(Box::new(engine::Mspf {
+            options: options.mspf,
+        })),
+        windowed(Box::new(engine::Refactor {
+            options: RefactorOptions {
+                max_support: if high_effort { 14 } else { 12 },
+                min_mffc: 2,
+                allow_zero_gain: high_effort,
+            },
+        })),
+        windowed(Box::new(engine::Bdiff {
+            options: options.bdiff,
+        })),
+        whole(Box::new(engine::Sweep {
+            options: SweepOptions {
+                budget: options.sat_budget,
+                ..Default::default()
+            },
+        })),
+        whole(Box::new(engine::Redundancy {
+            options: RedundancyOptions {
+                budget: options.sat_budget,
+                max_checks: if high_effort { 2_000 } else { 500 },
+            },
+        })),
+    ]
+}
+
+/// The step runner: runs one checkpoint unit on the cleaned network,
+/// every engine on its schedule behind the never-worse guard, and merges
+/// each engine's stats, latency and check violations into `report`. The
+/// unit's result is cleaned — exactly the form a snapshot persists — and
+/// never larger than its input.
+fn run_unit(aig: Aig, unit: &Unit, ctx: &EngineCtx<'_>, report: &mut PipelineReport) -> Aig {
+    let mut cur = aig.cleanup();
+    for (engine, schedule) in unit {
+        let run = match schedule {
+            Schedule::Windowed => pass(&cur, engine.as_ref(), ctx),
+            Schedule::Whole => whole(&cur, engine.as_ref(), ctx),
+        };
+        report.merge(&run.stats);
+        // Never worse: every SBM move has gain ≥ 0 (Section IV-A).
+        if run.aig.num_ands() <= cur.num_ands() {
+            cur = run.aig;
+        }
+    }
+    cur.cleanup()
+}
+
+/// One whole-network engine run, reported as a one-row
+/// [`PipelineReport`] (no windows).
+fn whole(aig: &Aig, engine: &dyn Engine, ctx: &EngineCtx<'_>) -> Optimized<PipelineReport> {
+    let (result, check_violations) = run_checked(engine, aig, ctx, None);
+    let mut latency = Histogram::default();
+    latency.record(result.stats.busy);
+    let name = engine.name().to_string();
+    Optimized {
+        aig: result.aig,
+        stats: PipelineReport {
+            engines: vec![(name.clone(), result.stats)],
+            engine_latency: vec![(name, latency)],
+            check_violations,
+            ..PipelineReport::default()
+        },
     }
 }
 
-/// One windowed engine step of the SBM script: the engine runs once over
-/// the whole network through the parallel partition executor ([`pass`]),
-/// and the pass's report (including any check violations) accumulates
-/// into `report`.
-fn step(aig: Aig, ctx: &StepCtx<'_>, report: &mut PipelineReport, engine: &dyn Engine) -> Aig {
-    let run = pass(&aig, engine, &ctx.engine_ctx());
-    report.merge(&run.stats);
-    guarded(aig, |_| run.aig)
-}
-
-/// The [`resyn2rs`] step sequence. Balancing runs in place; every engine
-/// step goes through `run`, which picks the schedule: the baseline runs
-/// each engine once over the whole network, the SBM script runs it as a
-/// windowed [`step`].
-fn resyn2rs_steps(
-    aig: &Aig,
-    check: CheckLevel,
-    report: &mut PipelineReport,
-    mut run: impl FnMut(Aig, &mut PipelineReport, &dyn Engine) -> Aig,
-) -> Aig {
-    let mut cur = aig.cleanup();
-    let rs = |k: usize| engine::Resub {
-        options: resub_opts(k),
-    };
-    let deep_refactor = engine::Refactor {
-        options: RefactorOptions {
-            max_support: 14,
-            ..Default::default()
-        },
-    };
-    cur = checked_guarded(cur, check, report, "balance", balance);
-    cur = run(cur, report, &rs(6));
-    cur = run(cur, report, &engine::Rewrite::default());
-    cur = run(cur, report, &rs(8));
-    cur = run(cur, report, &engine::Refactor::default());
-    cur = run(cur, report, &rs(10));
-    cur = checked_guarded(cur, check, report, "balance", balance);
-    cur = run(cur, report, &rs(12));
-    cur = run(cur, report, &engine::Rewrite::default());
-    cur = run(cur, report, &deep_refactor);
-    cur = checked_guarded(cur, check, report, "balance", balance);
-    cur.cleanup()
+/// The `resyn2rs`-style baseline script: balance, resub, rewrite and
+/// refactor passes with growing resubstitution windows, mirroring ABC's
+/// `b; rs; rw; rs -K 6; rf; rs -K 8; b; rs -K 10; rw; rs -K 12; rf; b`.
+/// Each engine runs once over the whole network on the calling thread;
+/// the SBM script runs the same sequence, windowed, as its first step.
+pub fn resyn2rs(aig: &Aig) -> Aig {
+    let budget = Budget::unlimited();
+    run_unit(
+        aig.clone(),
+        &resyn2rs_unit(Schedule::Whole),
+        &EngineCtx::new(&budget),
+        &mut PipelineReport::default(),
+    )
 }
 
 /// Runs [`resyn2rs`] until no further improvement — the reference
@@ -436,17 +443,17 @@ pub struct SbmOptions {
     /// every step, larger values amortize the write at the cost of
     /// re-running at most that many steps after a crash.
     pub checkpoint_every: usize,
-    /// Canonical step outputs (`false`, the default): when `true`, every
-    /// script step's result is cleaned before the next step sees it —
-    /// exactly the form snapshots persist — and the simulation service's
-    /// counterexample pool is reset at step boundaries (carried patterns
-    /// are state no snapshot captures, and under finite budgets they
-    /// change results). Each step is then a pure function of its input
-    /// network, so a park-and-resume traverses identical intermediate
-    /// networks and produces byte-identical results. `sbm-server` turns
-    /// this on for every job; one-shot runs keep the historical
-    /// (uncleaned, cross-step-refined) behaviour. Changes results, so it
-    /// is part of the checkpoint fingerprint.
+    /// Step-local simulation patterns (`false`, the default): when
+    /// `true`, the simulation service's counterexample pool is reset at
+    /// every step boundary instead of carried into the next step
+    /// (carried patterns are state no snapshot captures, and under
+    /// finite budgets they change results). Every step already continues
+    /// from its cleaned output — exactly the form snapshots persist — so
+    /// each step is then a pure function of its input network, and a
+    /// park-and-resume produces byte-identical results. `sbm-server`
+    /// turns this on for every job; one-shot runs keep the cross-step
+    /// refined pool. Can change results, so it is part of the checkpoint
+    /// fingerprint.
     pub canonical_steps: bool,
 }
 
@@ -654,8 +661,8 @@ impl SbmOptionsBuilder {
         self
     }
 
-    /// Canonical step outputs: clean every step's result before the next
-    /// step sees it, making park-and-resume byte-identical to a straight
+    /// Step-local simulation patterns: reset the simulation pool at every
+    /// step boundary, making park-and-resume byte-identical to a straight
     /// run (see [`SbmOptions::canonical_steps`]).
     #[must_use]
     pub fn canonical_steps(mut self, canonical: bool) -> Self {
@@ -706,13 +713,13 @@ impl SbmOptionsBuilder {
 ///
 /// iterated (twice by default) with the network re-strashed into an AIG
 /// between steps. Returns the optimized network with the merged
-/// [`PipelineReport`] of every engine pass.
+/// [`PipelineReport`] of every engine run: one row per engine.
 ///
-/// The window-based steps (the baseline script's engine passes, MSPF,
-/// refactoring and Boolean difference) always run on the partition
-/// executor ([`crate::pipeline`]), fanned out over
-/// [`SbmOptions::num_threads`] workers; the gradient, hetero and SAT
-/// steps run over the whole network. With
+/// The window-based steps (the baseline script's resub, rewrite and
+/// refactor passes, MSPF, refactoring and Boolean difference) always run
+/// on the partition executor ([`crate::pipeline`]), fanned out over
+/// [`SbmOptions::num_threads`] workers; balancing and the gradient,
+/// hetero and SAT steps run once over the whole network. With
 /// [`SbmOptions::checkpoint_dir`] set, the run additionally persists
 /// step-grained progress; checkpoint I/O failures are best-effort
 /// (reported, never fatal).
@@ -778,16 +785,7 @@ pub fn sbm_script_resumable(
             found: meta.fingerprint,
         });
     }
-    let ckpt = ScriptCkpt {
-        dir: dir.clone(),
-        every: options.checkpoint_every.max(1),
-        fingerprint,
-        resume_from: meta.seq,
-        seen: Cell::new(0),
-        clean: Cell::new(true),
-        error: RefCell::new(None),
-        saved: Cell::new(false),
-    };
+    let ckpt = ScriptCkpt::new(dir, options, meta.seq);
     let report = PipelineReport {
         resume: Some(ResumeSummary {
             steps_skipped: meta.seq as usize,
@@ -865,13 +863,8 @@ fn script_body(
     // Boundary pre-check on the RAW input (cleanup would loop on a
     // corrupted redirection map); a corrupt input passes through as-is.
     if check.at_boundaries() {
-        if let Err(error) = check_aig(aig) {
-            report.check_violations.push(CheckViolation {
-                engine: "script".to_string(),
-                stage: "pre",
-                window: None,
-                error,
-            });
+        if let Err(violation) = check_input("script", None, aig) {
+            report.check_violations.push(violation);
             return Optimized {
                 aig: aig.clone(),
                 stats: report,
@@ -891,8 +884,7 @@ fn script_body(
         None => {
             let cur = aig.cleanup();
             let ckpt = options.checkpoint_dir.as_ref().and_then(|dir| {
-                let fingerprint = script_fingerprint(options);
-                match ScriptCkpt::create(dir, fingerprint, options.checkpoint_every.max(1), &cur) {
+                match ScriptCkpt::create(dir, options, &cur) {
                     Ok(ckpt) => Some(ckpt),
                     Err(e) => {
                         report.checkpoint_error = Some(e.to_string());
@@ -907,10 +899,7 @@ fn script_body(
     // One budget governs the whole run: every engine step, inner pass and
     // SAT gate below shares it, so the deadline bounds the run end to end.
     let ctx = StepCtx {
-        threads: options.num_threads.max(1),
-        check,
         budget,
-        fault_plan: options.fault_plan,
         ckpt,
         report_sink: sink,
         sim: options.sim_filter.then(SigService::default),
@@ -918,115 +907,21 @@ fn script_body(
     };
     // Attribution boundary for the sim tallies too (mirrors BDD/SAT).
     let _ = sbm_sim::drain_sim_tally();
+    let engine_ctx = EngineCtx::new(&ctx.budget)
+        .with_threads(options.num_threads.max(1))
+        .with_check_level(check)
+        .with_fault_plan(options.fault_plan.as_ref())
+        .with_sim(ctx.sim.as_ref());
     for iteration in 0..options.iterations {
         if ctx.budget.check().is_err() {
             break;
         }
-        let high_effort = iteration > 0;
-        // 1. AIG optimization: baseline script, then the gradient engine.
-        cur = checkpointed(cur, &ctx, |cur| {
-            guarded(cur, |a| {
-                resyn2rs_steps(a, check, &mut report, |cur, report, engine| {
-                    step(cur, &ctx, report, engine)
-                })
-            })
-        });
-        bank_tallies(&mut report, &ctx);
-        cur = checkpointed(cur, &ctx, |cur| {
-            checked_guarded(cur, check, &mut report, "gradient", |a| {
-                gradient_optimize_filtered(a, &options.gradient, &ctx.engine_ctx()).0
-            })
-        });
-        bank_tallies(&mut report, &ctx);
-        // 2. Heterogeneous elimination for kerneling (internal
-        // threshold-sweep threads).
-        cur = checkpointed(cur, &ctx, |cur| {
-            checked_guarded(cur, check, &mut report, "hetero", |a| {
-                hetero_eliminate_kernel_impl(a, &options.hetero, ctx.threads).0
-            })
-        });
-        bank_tallies(&mut report, &ctx);
-        // 3. Enhanced MSPF computation.
-        cur = checkpointed(cur, &ctx, |cur| {
-            step(
-                cur,
-                &ctx,
-                &mut report,
-                &engine::Mspf {
-                    options: options.mspf,
-                },
-            )
-        });
-        bank_tallies(&mut report, &ctx);
-        // 4. Collapse & Boolean decomposition on reconvergent MFFCs.
-        let refactor_options = RefactorOptions {
-            max_support: if high_effort { 14 } else { 12 },
-            min_mffc: 2,
-            allow_zero_gain: high_effort,
-        };
-        cur = checkpointed(cur, &ctx, |cur| {
-            step(
-                cur,
-                &ctx,
-                &mut report,
-                &engine::Refactor {
-                    options: refactor_options,
-                },
-            )
-        });
-        bank_tallies(&mut report, &ctx);
-        // 5. Boolean-difference-based optimization: unveils hard-to-find
-        // optimizations and escapes local minima.
-        cur = checkpointed(cur, &ctx, |cur| {
-            step(
-                cur,
-                &ctx,
-                &mut report,
-                &engine::Bdiff {
-                    options: options.bdiff,
-                },
-            )
-        });
-        bank_tallies(&mut report, &ctx);
-        // 6. SAT sweeping and redundancy removal.
-        cur = checkpointed(cur, &ctx, |cur| {
-            checked_guarded(cur, check, &mut report, "sweep", |a| {
-                let mut work = a.cleanup();
-                let sweep_options = SweepOptions {
-                    budget: options.sat_budget,
-                    ..Default::default()
-                };
-                match &ctx.sim {
-                    // With the service active, harvest every refutation
-                    // witness the sweep's SAT calls produce: each one is a
-                    // pattern random simulation missed.
-                    Some(svc) => {
-                        let outcome = sweep_collect(&mut work, &sweep_options);
-                        for witness in &outcome.witnesses {
-                            svc.record_cex(witness);
-                        }
-                    }
-                    None => {
-                        sweep(&mut work, &sweep_options);
-                    }
-                }
-                work.cleanup()
-            })
-        });
-        bank_tallies(&mut report, &ctx);
-        cur = checkpointed(cur, &ctx, |cur| {
-            checked_guarded(cur, check, &mut report, "redundancy", |a| {
-                remove_redundancies(
-                    a,
-                    &RedundancyOptions {
-                        budget: options.sat_budget,
-                        max_checks: if high_effort { 2_000 } else { 500 },
-                    },
-                )
-                .aig
-            })
-        });
-        bank_tallies(&mut report, &ctx);
+        for unit in step_table(options, iteration) {
+            cur = checkpointed(cur, &ctx, |cur| {
+                run_unit(cur, &unit, &engine_ctx, &mut report)
+            });
+            bank_tallies(&mut report, &ctx);
+        }
     }
     // Whether this run executed at least one step beyond the loaded
     // snapshot (a resumed run that trips before its first live step —
@@ -1037,7 +932,7 @@ fn script_body(
         .is_none_or(|ck| ck.seen.get() > ck.resume_from);
     // Final cleanup, unconditional: `cleanup` is idempotent (the arena
     // core renumbers canonically), so re-cleaning a reloaded snapshot or
-    // a canonical-mode step output is a byte-identical no-op and resume
+    // a step output is a byte-identical no-op and resume
     // byte-identity is preserved without special-casing.
     let mut result = cur.cleanup();
 
@@ -1045,20 +940,8 @@ fn script_body(
     // invariant and agree with the input on 64 random patterns; a
     // violating result is discarded in favor of the cleaned input.
     if let Some(input) = input {
-        let error =
-            check_aig(&result).and_then(|()| sim_spot_check(&input, &result, SPOT_CHECK_SEED));
-        if let Err(error) = error {
-            let stage = if error.code == CheckCode::SimMismatch {
-                "sim"
-            } else {
-                "post"
-            };
-            report.check_violations.push(CheckViolation {
-                engine: "script".to_string(),
-                stage,
-                window: None,
-                error,
-            });
+        if let Err(violation) = check_output("script", None, &input, &result) {
+            report.check_violations.push(violation);
             result = input;
         }
     }
@@ -1087,6 +970,7 @@ fn script_body(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbm_check::CheckCode;
     use sbm_sat::{EquivalenceOracle, MiterOracle, Verdict};
 
     fn proven_equivalent(a: &Aig, b: &Aig) -> bool {
@@ -1446,6 +1330,51 @@ mod tests {
             Err(OptionsError::ZeroCheckpointEvery)
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every engine of the step table over `options.iterations`, in
+    /// first-run order, with its schedule.
+    fn table_rows(options: &SbmOptions) -> Vec<(String, Schedule)> {
+        let mut rows: Vec<(String, Schedule)> = Vec::new();
+        for iteration in 0..options.iterations {
+            for unit in step_table(options, iteration) {
+                for (engine, schedule) in &unit {
+                    match rows.iter().find(|(name, _)| name == engine.name()) {
+                        Some((name, on)) => assert_eq!(on, schedule, "{name} has two schedules"),
+                        None => rows.push((engine.name().to_string(), *schedule)),
+                    }
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn report_rows_follow_the_step_table() {
+        // One row per step-table engine, in first-run order; `windows`
+        // counts only windowed runs, and no row accepts more than it
+        // tried.
+        let aig = sbm_epfl::generate("priority", sbm_epfl::Scale::Reduced).expect("known design");
+        let options = SbmOptions::default();
+        let report = sbm_script_report(&aig, &options).stats;
+        let table = table_rows(&options);
+        let rows: Vec<&str> = report.engines.iter().map(|(n, _)| n.as_str()).collect();
+        let expected: Vec<&str> = table.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(rows, expected);
+        assert_eq!(rows.len(), 10, "{rows:?}");
+        let latency: Vec<&str> = report
+            .engine_latency
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .collect();
+        assert_eq!(latency, expected);
+        for ((name, stats), (_, schedule)) in report.engines.iter().zip(table) {
+            match schedule {
+                Schedule::Windowed => assert!(stats.windows > 0, "{name}: {stats:?}"),
+                Schedule::Whole => assert_eq!(stats.windows, 0, "{name}: {stats:?}"),
+            }
+            assert!(stats.accepted <= stats.tried, "{name}: {stats:?}");
+        }
     }
 
     #[test]

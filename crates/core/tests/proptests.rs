@@ -11,8 +11,8 @@ use sbm_aig::{Aig, Lit};
 use sbm_budget::Budget;
 use sbm_check::{FaultKind, FaultPlan};
 use sbm_core::engine::{
-    run_checked, Balance, Bdiff, Engine, EngineCtx, Gradient, Hetero, Mspf, Refactor, Resub,
-    Rewrite,
+    run_checked, Balance, Bdiff, Engine, EngineCtx, Gradient, Hetero, Mspf, Redundancy, Refactor,
+    Resub, Rewrite, Sweep,
 };
 use sbm_core::gradient::GradientOptions;
 use sbm_core::pipeline::{pass, PipelineReport};
@@ -133,11 +133,14 @@ proptest! {
                     ..Default::default()
                 },
             }),
+            Box::new(Sweep::default()),
+            Box::new(Redundancy::default()),
         ];
         let budget = Budget::unlimited();
+        let ctx = EngineCtx::new(&budget).with_check_level(CheckLevel::Paranoid);
         for engine in &engines {
             let (result, violations) =
-                run_checked(engine.as_ref(), &aig, &EngineCtx::new(&budget), None);
+                run_checked(engine.as_ref(), &aig, &ctx, None);
             prop_assert!(
                 violations.is_empty(),
                 "{} violated invariants: {:?}",
@@ -278,6 +281,34 @@ proptest! {
     }
 }
 
+// A fixed-seed instance of the proptest above whose 0.25 rate must fire
+// in every pass, so the ledger replay is never vacuous.
+#[test]
+fn injected_faults_are_ledgered_exactly() {
+    let aig = design("priority");
+    let plan = FaultPlan::uniform(0xFA_17, 0.25);
+    let budget = Budget::unlimited();
+    let mut ledgers = Vec::new();
+    for threads in [1, 4] {
+        let ctx = EngineCtx::new(&budget)
+            .with_threads(threads)
+            .with_fault_plan(Some(&plan));
+        let (out, reports) = rewrite_resub(&aig, &ctx);
+        for report in &reports {
+            assert!(report.windows_total >= 8, "too few windows");
+            assert!(
+                !report.fault.injected.is_empty(),
+                "a 0.25 rate must fire on this network"
+            );
+            assert_ledger_exact(report).unwrap();
+            assert!(report.is_consistent(), "{report:?}");
+        }
+        assert!(equivalent(&aig, &out), "injection broke function");
+        ledgers.push(reports.into_iter().map(|r| r.fault).collect::<Vec<_>>());
+    }
+    assert_eq!(ledgers[0], ledgers[1]);
+}
+
 /// Replays the injected-fault ledger against the per-engine counters:
 /// every count in the summary must be derivable from the ledger alone.
 /// Valid whenever no *genuine* faults occur alongside the injected ones
@@ -347,7 +378,7 @@ fn assert_ledger_exact(report: &PipelineReport) -> Result<(), String> {
 }
 
 // The acceptance stress test: seeded panic/delay/bailout injection at a
-// 15% per-kind rate across *all eight* engines. Every run must complete
+// 15% per-kind rate across *all ten* engines. Every run must complete
 // without aborting, produce a network functionally equivalent to its
 // input (simulation screen + SAT gate, via `equivalent`), and report a
 // `FaultSummary` that matches the injected-fault ledger exactly. Across
@@ -370,6 +401,8 @@ fn all_engine_fault_stress_completes_equivalent_with_exact_ledger() {
                 ..Default::default()
             },
         }),
+        Box::new(Sweep::default()),
+        Box::new(Redundancy::default()),
     ];
     let budget = Budget::unlimited();
     let mut total_injected = 0usize;

@@ -70,11 +70,12 @@ pub struct PhaseMicros {
 pub struct EngineReport {
     /// Engine name.
     pub name: String,
-    /// Windows / partitions processed.
+    /// Windows the partition executor ran the engine on (0 for a
+    /// whole-network run).
     pub windows: u64,
     /// Candidate moves evaluated.
     pub tried: u64,
-    /// Moves accepted.
+    /// Moves accepted (never more than `tried`).
     pub accepted: u64,
     /// AND-node reduction (positive = smaller network).
     pub gain: i64,

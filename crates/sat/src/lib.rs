@@ -39,5 +39,5 @@ mod tally;
 
 pub use equiv::{EquivalenceOracle, MiterOracle, Verdict};
 pub use solver::{SatLit, SolveResult, Solver, Var};
-pub use sweep::{sweep, sweep_collect, SweepOptions, SweepOutcome, SweepStats};
+pub use sweep::{sweep, SweepOptions, SweepOutcome, SweepStats};
 pub use tally::{drain_sat_tally, note_sat_tally, SatTally};

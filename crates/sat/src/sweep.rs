@@ -46,7 +46,7 @@ pub struct SweepStats {
     pub undecided: usize,
 }
 
-/// Result of [`sweep_collect`]: the pass statistics plus the refutation
+/// Result of [`sweep`]: the pass statistics plus the refutation
 /// witnesses harvested from SAT models.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOutcome {
@@ -60,17 +60,11 @@ pub struct SweepOutcome {
 }
 
 /// Runs one SAT-sweeping pass over `aig`, merging proven-equivalent nodes
-/// into their earliest (topologically first) representative. Returns the
-/// statistics; the AIG is modified in place (call
-/// [`sbm_aig::Aig::cleanup`] afterwards to compact).
-pub fn sweep(aig: &mut Aig, options: &SweepOptions) -> SweepStats {
-    sweep_collect(aig, options).stats
-}
-
-/// Like [`sweep`], but also collects a counterexample witness for every
-/// refuted candidate pair (the SAT model restricted to the primary
-/// inputs).
-pub fn sweep_collect(aig: &mut Aig, options: &SweepOptions) -> SweepOutcome {
+/// into their earliest (topologically first) representative, and collects
+/// a counterexample witness for every refuted candidate pair (the SAT
+/// model restricted to the primary inputs). The AIG is modified in place
+/// (call [`sbm_aig::Aig::cleanup`] afterwards to compact).
+pub fn sweep(aig: &mut Aig, options: &SweepOptions) -> SweepOutcome {
     let mut outcome = SweepOutcome::default();
     let sig = Signatures::random(aig, options.sim_words, options.seed);
     // Bucket nodes by canonical signature hash (positive phase hash of the
@@ -165,7 +159,7 @@ mod tests {
         aig.add_output(x2);
         let before = aig.cleanup();
         assert!(before.num_ands() > 3);
-        let stats = sweep(&mut aig, &SweepOptions::default());
+        let stats = sweep(&mut aig, &SweepOptions::default()).stats;
         assert!(stats.merged >= 1, "{stats:?}");
         let after = aig.cleanup();
         assert_eq!(after.num_ands(), 3, "sweeping should share the XOR");
@@ -195,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn collect_harvests_one_witness_per_refutation() {
+    fn harvests_one_witness_per_refutation() {
         // An AND chain of 16 inputs is all-zeros under 64 random patterns
         // with overwhelming probability (the all-ones minterm has weight
         // 2^-16), so its deep nodes collide with a structural constant
@@ -214,7 +208,7 @@ mod tests {
             sim_words: 1,
             ..SweepOptions::default()
         };
-        let outcome = sweep_collect(&mut aig, &options);
+        let outcome = sweep(&mut aig, &options);
         assert!(outcome.stats.refuted >= 1, "{:?}", outcome.stats);
         assert_eq!(outcome.witnesses.len(), outcome.stats.refuted);
         for witness in &outcome.witnesses {
@@ -238,7 +232,7 @@ mod tests {
         aig.add_output(f);
         aig.add_output(g);
         let before = aig.cleanup();
-        let stats = sweep(&mut aig, &SweepOptions::default());
+        let stats = sweep(&mut aig, &SweepOptions::default()).stats;
         assert_eq!(stats.merged, 0);
         let after = aig.cleanup();
         assert_eq!(

@@ -121,7 +121,8 @@ proptest! {
     fn sweep_preserves_function(recipe in arb_recipe()) {
         let mut aig = build(&recipe);
         let before = aig.cleanup();
-        sweep(&mut aig, &SweepOptions::default());
+        let outcome = sweep(&mut aig, &SweepOptions::default());
+        prop_assert_eq!(outcome.witnesses.len(), outcome.stats.refuted);
         let after = aig.cleanup();
         prop_assert!(after.num_ands() <= before.num_ands());
         prop_assert_eq!(MiterOracle::new().check(&before, &after), Verdict::Equivalent);

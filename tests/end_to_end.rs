@@ -7,6 +7,7 @@
 
 use sbm::core::script::{resyn2rs_fixpoint, sbm_script_report, SbmOptions};
 use sbm::epfl::{generate, Scale};
+use sbm::journal::Fnv64;
 use sbm::lutmap::{map_luts, MapOptions};
 use sbm::sat::{EquivalenceOracle, MiterOracle, Verdict};
 
@@ -28,6 +29,44 @@ fn sbm_script_preserves_function_on_epfl_benchmarks() {
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent,
             "{name} changed function"
+        );
+    }
+}
+
+/// FNV-1a hash of the ASCII AIGER text.
+fn aiger_hash(aig: &sbm::aig::Aig) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_str(&sbm::aig::aiger::write(aig));
+    h.finish()
+}
+
+/// The script's results on [`SMALL`], pinned: `(design, hash under
+/// `SbmOptions::default()`, hash with canonical steps)`. A change that
+/// moves any result must update these values and say so.
+const PINNED: [(&str, u64, u64); 5] = [
+    ("int2float", 0xa6e5_a43e_906c_0b99, 0xa6e5_a43e_906c_0b99),
+    ("ctrl", 0x68c4_f6f4_e9a1_3284, 0x68c4_f6f4_e9a1_3284),
+    ("router", 0xa8ac_5c57_b77b_e8a3, 0xa8ac_5c57_b77b_e8a3),
+    ("priority", 0xbf8b_d6e1_116e_c89c, 0xbf8b_d6e1_116e_c89c),
+    ("dec", 0xd35b_5d84_d29c_0e4b, 0xd35b_5d84_d29c_0e4b),
+];
+
+#[test]
+fn sbm_script_results_are_pinned() {
+    let canonical = SbmOptions::builder()
+        .canonical_steps(true)
+        .build()
+        .expect("valid configuration");
+    assert_eq!(PINNED.map(|(name, _, _)| name), SMALL);
+    for (name, default_hash, canonical_hash) in PINNED {
+        let aig = generate(name, Scale::Reduced).expect("known benchmark");
+        let plain = sbm_script_report(&aig, &SbmOptions::default()).aig;
+        assert_eq!(aiger_hash(&plain), default_hash, "{name}: default options");
+        let canon = sbm_script_report(&aig, &canonical).aig;
+        assert_eq!(
+            aiger_hash(&canon),
+            canonical_hash,
+            "{name}: canonical steps"
         );
     }
 }
