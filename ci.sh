@@ -113,6 +113,11 @@ cargo test -q
 echo "==> cargo test -p sbm-check"
 cargo test -q -p sbm-check
 
+# The solver, sweeping and redundancy unit tests and proptests (the root
+# package's `cargo test` above runs none of them).
+echo "==> cargo test -p sbm-sat"
+cargo test -q -p sbm-sat
+
 # Fault-injection smoke: seeded panics/delays/bailouts across all ten
 # engines must complete, stay equivalent, and ledger exactly. Fixed seeds
 # inside the test keep this deterministic and bounded (sub-second).

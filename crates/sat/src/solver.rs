@@ -211,12 +211,14 @@ impl Solver {
     /// Adds a clause. Returns `false` if the solver is already in an
     /// unsatisfiable state (conflict at decision level 0).
     ///
-    /// # Panics
-    ///
-    /// Panics if called while a solve is in progress (non-root decision
-    /// level).
+    /// After a [`SolveResult::Sat`] answer the solver keeps its model at
+    /// the decision levels that found it; adding a clause first backtracks
+    /// to the root, which drops that model (read it with
+    /// [`Solver::model_value`] before adding clauses).
     pub fn add_clause(&mut self, lits: &[SatLit]) -> bool {
-        assert!(self.trail_lim.is_empty(), "add_clause at non-root level");
+        if !self.trail_lim.is_empty() {
+            self.cancel_until(0);
+        }
         if !self.ok {
             return false;
         }
@@ -623,6 +625,23 @@ mod tests {
         assert_eq!(s.solve(&[]), SolveResult::Sat);
         assert_eq!(s.solve(&[!v[0]]), SolveResult::Sat);
         assert!(s.model_value(v[1].var()));
+    }
+
+    #[test]
+    fn add_clause_after_sat_answer_backtracks_to_root() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 3);
+        s.add_clause(&[v[0], v[1]]);
+        assert_eq!(s.solve(&[!v[0]]), SolveResult::Sat);
+        assert!(s.model_value(v[1].var()));
+        // The kept model sits above the root; these clauses must still land.
+        assert!(s.add_clause(&[!v[1], v[2]]));
+        assert!(s.add_clause(&[!v[2]]));
+        assert_eq!(s.solve(&[!v[0]]), SolveResult::Unsat);
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        assert!(s.model_value(v[0].var()));
+        assert!(!s.model_value(v[1].var()));
+        assert!(!s.model_value(v[2].var()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use sbm_sat::{
     equiv::{EquivalenceOracle, MiterOracle, Verdict},
-    redundancy::{remove_redundancies, RedundancyOptions},
+    redundancy::{remove_redundancies, FaultChecker, RedundancyOptions},
     sweep::{sweep, SweepOptions},
     SatLit, SolveResult, Solver, Var,
 };
@@ -132,8 +132,39 @@ proptest! {
     fn redundancy_removal_preserves_function(recipe in arb_recipe()) {
         let aig = build(&recipe);
         let opts = RedundancyOptions { max_checks: 200, ..Default::default() };
-        let cleaned = remove_redundancies(&aig, &opts).aig;
+        let run = remove_redundancies(&aig, &opts);
+        let (cleaned, stats) = (run.aig, run.stats);
+        prop_assert_eq!(stats.checks, stats.removed + stats.refuted + stats.undecided);
         prop_assert!(cleaned.num_ands() <= aig.num_ands());
         prop_assert_eq!(MiterOracle::new().check(&aig, &cleaned), Verdict::Equivalent);
+    }
+
+    #[test]
+    fn fault_checker_agrees_with_miter_on_rebuilt_network(recipe in arb_recipe()) {
+        // Every gate/fanin replacement, checked on one incremental solver,
+        // against the whole-network miter of the rebuilt copy.
+        let aig = build(&recipe).cleanup();
+        let mut checker = FaultChecker::new(&aig, None);
+        for gate in aig.topo_order() {
+            let (a, b) = aig.fanins(gate);
+            for with in [a, b] {
+                let mut rebuilt = aig.clone();
+                rebuilt.replace(gate, with).expect("a fanin never closes a cycle");
+                let rebuilt = rebuilt.cleanup();
+                let cone = checker.check(gate, with);
+                let miter = MiterOracle::new().check(&aig, &rebuilt);
+                if let Verdict::Refuted(witness) = &cone {
+                    prop_assert!(aig.eval(witness) != rebuilt.eval(witness));
+                }
+                let decided = |v: &Verdict| v != &Verdict::Unknown;
+                if decided(&cone) && decided(&miter) {
+                    prop_assert_eq!(
+                        cone == Verdict::Equivalent,
+                        miter == Verdict::Equivalent,
+                        "gate {:?} -> {:?}", gate, with
+                    );
+                }
+            }
+        }
     }
 }

@@ -19,10 +19,12 @@ use std::time::{Duration, Instant};
 use sbm_core::script::sbm_script_report;
 use sbm_metrics::RunReport;
 use sbm_server::corpus::{corpus_aiger, CORPUS_SIZE};
-use sbm_server::{job_sbm_options, JobOptions};
+use sbm_server::{job_sbm_options, JobOptions, ScanState, Store};
 
 const JOBS: usize = 200;
 const CLIENTS: usize = 8;
+/// Server kills tried before one finds a job in flight.
+const KILL_ATTEMPTS: usize = 5;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sbm-soak-{tag}-{}", std::process::id()));
@@ -70,6 +72,39 @@ fn count_results(out: &Path) -> usize {
         .unwrap_or(0)
 }
 
+/// Jobs of the store at `root` that are finished and still in flight.
+fn store_progress(root: &Path) -> (usize, usize) {
+    let jobs = Store::open(root)
+        .and_then(|store| store.scan())
+        .expect("scan the store");
+    let count = |state| jobs.iter().filter(|job| job.state == state).count();
+    (count(ScanState::Done), count(ScanState::InFlight))
+}
+
+/// Waits until the server has finished at least `at_least` jobs while
+/// others are still in flight, and returns how many it has finished.
+/// This reads the live store: loadgen fetches results in submission
+/// order and can trail the server by a hundred jobs, so its results say
+/// little about what is still in flight.
+fn wait_for_kill_point(root: &Path, at_least: usize) -> usize {
+    let started = Instant::now();
+    loop {
+        let (done, in_flight) = store_progress(root);
+        assert!(
+            done < JOBS,
+            "server finished before the kill — soak too fast"
+        );
+        if done >= at_least && in_flight > 0 {
+            return done;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(120),
+            "no kill point after 120 s; soak stalled (done={done})"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn soak_kill_restart_loses_and_duplicates_nothing() {
     let root = tmp_dir("root");
@@ -99,31 +134,26 @@ fn soak_kill_restart_loses_and_duplicates_nothing() {
         .spawn()
         .expect("spawn loadgen");
 
-    // SIGKILL the server mid-run: after some results exist but long
-    // before all of them do.
-    let started = Instant::now();
-    loop {
-        let done = count_results(&out);
-        if done >= 5 {
-            assert!(
-                done < JOBS,
-                "server finished before the kill — soak too fast"
-            );
+    // SIGKILL the server mid-run: after some jobs have finished but long
+    // before all of them do, while others are in flight. Those can finish
+    // between the last look and the kill; the store, quiet while the
+    // server is down, says whether any is left. If none is, restart and
+    // kill again once more jobs have finished, a bounded number of times.
+    // Each restart is over the same root: the recovery scan must re-admit
+    // every in-flight job, and loadgen reconnects through the republished
+    // addr-file and rides out the outage.
+    let mut finished_before_kill = 0;
+    for _ in 0..KILL_ATTEMPTS {
+        let done = wait_for_kill_point(&root, finished_before_kill + 5);
+        server.kill().expect("SIGKILL server");
+        let _ = server.wait();
+        let (_, in_flight) = store_progress(&root);
+        server = spawn_server(&root, &addr_file);
+        if in_flight > 0 {
             break;
         }
-        assert!(
-            started.elapsed() < Duration::from_secs(120),
-            "no results after 120 s; soak stalled (done={done})"
-        );
-        std::thread::sleep(Duration::from_millis(10));
+        finished_before_kill = done;
     }
-    server.kill().expect("SIGKILL server");
-    let _ = server.wait();
-
-    // Restart over the same root: the recovery scan must re-admit every
-    // in-flight job; loadgen reconnects through the republished
-    // addr-file and rides out the outage.
-    let mut server = spawn_server(&root, &addr_file);
 
     let status = loadgen.wait().expect("loadgen exit");
     let _ = server.kill();
