@@ -142,10 +142,12 @@ if [[ $quick -eq 0 ]]; then
 fi
 
 # Checkpoint/resume smoke: interrupt a checkpointed single-benchmark
-# table1 run with a tight deadline, then resume it to completion. The
-# resumed run must report resume activity, verify equivalent, and emit no
-# checkpoint warnings. Quick mode uses the debug binary; full mode
-# release.
+# table1 run with a tight deadline, then rerun it into the same directory:
+# the rerun must resume on its own (report a resume summary), verify
+# equivalent, and emit no checkpoint warnings. A third run with
+# `--sim-filter off` changes the snapshot fingerprint, so it must start
+# fresh (no resume summary) and still verify with no warnings. Quick mode
+# uses the debug binary; full mode release.
 echo "==> checkpoint/resume smoke"
 ckdir=$(mktemp -d)
 trap 'rm -rf "$ckdir"' EXIT
@@ -160,14 +162,24 @@ fi
     echo "checkpoint smoke: no script.state written" >&2
     exit 1
 }
-out=$("${table1[@]}" --only i2c --checkpoint "$ckdir" --resume)
+out=$("${table1[@]}" --only i2c --checkpoint "$ckdir")
 if ! grep -q "resume:" <<<"$out"; then
-    echo "checkpoint smoke: resumed run reported no resume summary" >&2
+    echo "checkpoint smoke: rerun reported no resume summary" >&2
     exit 1
 fi
-if grep -qE "MISMATCH|checkpoint WARNING|cannot resume" <<<"$out"; then
+if grep -qE "MISMATCH|checkpoint WARNING" <<<"$out"; then
     echo "checkpoint smoke: resume failed" >&2
-    grep -E "MISMATCH|checkpoint WARNING|cannot resume" <<<"$out" >&2
+    grep -E "MISMATCH|checkpoint WARNING" <<<"$out" >&2
+    exit 1
+fi
+out=$("${table1[@]}" --only i2c --checkpoint "$ckdir" --sim-filter off)
+if grep -q "resume:" <<<"$out"; then
+    echo "checkpoint smoke: a run under other options resumed" >&2
+    exit 1
+fi
+if ! grep -q "eq(SAT)" <<<"$out" || grep -q "checkpoint WARNING" <<<"$out"; then
+    echo "checkpoint smoke: fresh run under other options failed" >&2
+    grep -E "i2c|checkpoint WARNING" <<<"$out" >&2
     exit 1
 fi
 

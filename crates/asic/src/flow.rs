@@ -7,10 +7,12 @@
 //! baseline's critical path so that both flows face the same (slightly
 //! aggressive) clock, producing non-trivial WNS/TNS.
 
+use std::path::Path;
+
 use sbm_aig::Aig;
 use sbm_core::gradient::GradientOptions;
 use sbm_core::pipeline::PipelineReport;
-use sbm_core::script::{resyn2rs, sbm_script_report, sbm_script_resumable, SbmOptions};
+use sbm_core::script::{resyn2rs, sbm_script_report, SbmOptions};
 use sbm_metrics::Timer;
 
 use crate::mapping::map_to_cells;
@@ -67,44 +69,21 @@ pub struct FlowRun {
 /// Timing is reported separately via [`timing_at`], because WNS/TNS need
 /// a clock target shared across flows.
 pub fn run_flow(aig: &Aig, kind: FlowKind) -> FlowRun {
-    run_flow_threaded(aig, kind, 1)
-}
-
-/// Crash-safety configuration for the proposed flow's optimization step:
-/// checkpoints land in a per-design subdirectory of `root`, and `resume`
-/// continues from an existing checkpoint instead of starting fresh.
-#[derive(Debug, Clone)]
-pub struct FlowCheckpoint {
-    /// Root directory; each design checkpoints under `root/<name>`.
-    pub root: std::path::PathBuf,
-    /// Resume from the design's existing checkpoint. A design whose
-    /// checkpoint is missing or unusable is re-run fresh and the typed
-    /// error reported on stderr.
-    pub resume: bool,
-}
-
-impl FlowCheckpoint {
-    fn dir_for(&self, name: &str) -> std::path::PathBuf {
-        self.root.join(name)
-    }
+    run_flow_configured(aig, kind, 1, None, true)
 }
 
 /// [`run_flow`] with the proposed flow's window-based optimization steps
-/// fanned out over `num_threads` workers.
-pub fn run_flow_threaded(aig: &Aig, kind: FlowKind, num_threads: usize) -> FlowRun {
-    run_flow_configured(aig, kind, num_threads, None, true)
-}
-
-/// [`run_flow_threaded`] with optional crash-safe checkpointing of the
-/// proposed flow's optimization (`checkpoint` = directory for this
-/// design, plus whether to resume from it) and control over the
-/// simulation-signature candidate filter (`sim_filter`; see
-/// `SbmOptions::sim_filter` for what toggling it changes).
+/// fanned out over `num_threads` workers, optional crash-safe
+/// checkpointing of its optimization (`checkpoint` = directory for this
+/// design; a rerun into it resumes, see `SbmOptions::checkpoint_dir`)
+/// and control over the simulation-signature candidate filter
+/// (`sim_filter`; see `SbmOptions::sim_filter` for what toggling it
+/// changes).
 pub fn run_flow_configured(
     aig: &Aig,
     kind: FlowKind,
     num_threads: usize,
-    checkpoint: Option<(&std::path::Path, bool)>,
+    checkpoint: Option<&Path>,
     sim_filter: bool,
 ) -> FlowRun {
     let timer = Timer::start();
@@ -119,19 +98,10 @@ pub fn run_flow_configured(
                 },
                 num_threads,
                 sim_filter,
-                checkpoint_dir: checkpoint.map(|(dir, _)| dir.to_path_buf()),
+                checkpoint_dir: checkpoint.map(Path::to_path_buf),
                 ..Default::default()
             };
-            let run = match checkpoint {
-                Some((dir, true)) => match sbm_script_resumable(aig, &opts, None, None) {
-                    Ok(run) => run,
-                    Err(e) => {
-                        eprintln!("cannot resume from {} ({e}); running fresh", dir.display());
-                        sbm_script_report(aig, &opts)
-                    }
-                },
-                _ => sbm_script_report(aig, &opts),
-            };
+            let run = sbm_script_report(aig, &opts);
             (run.aig, run.stats)
         }
     };
@@ -184,37 +154,28 @@ pub struct DesignComparison {
 /// `clock_fraction` of the baseline critical path (< 1.0 makes the clock
 /// aggressive, so both flows show negative slack, as post-P&R tables do).
 pub fn compare_flows(name: &str, aig: &Aig, clock_fraction: f64) -> DesignComparison {
-    compare_flows_threaded(name, aig, clock_fraction, 1)
+    compare_flows_checkpointed(name, aig, clock_fraction, 1, None, true)
 }
 
-/// [`compare_flows`] with the proposed flow running `num_threads` workers.
-pub fn compare_flows_threaded(
-    name: &str,
-    aig: &Aig,
-    clock_fraction: f64,
-    num_threads: usize,
-) -> DesignComparison {
-    compare_flows_checkpointed(name, aig, clock_fraction, num_threads, None, true)
-}
-
-/// [`compare_flows_threaded`] with optional crash-safe checkpointing of
-/// the proposed flow (see [`FlowCheckpoint`]) and control over the
-/// simulation-signature candidate filter.
+/// [`compare_flows`] with the proposed flow running `num_threads`
+/// workers, optional crash-safe checkpointing of its optimization under
+/// `checkpoint_root/<name>` (see [`run_flow_configured`]) and control
+/// over the simulation-signature candidate filter.
 pub fn compare_flows_checkpointed(
     name: &str,
     aig: &Aig,
     clock_fraction: f64,
     num_threads: usize,
-    checkpoint: Option<&FlowCheckpoint>,
+    checkpoint_root: Option<&Path>,
     sim_filter: bool,
 ) -> DesignComparison {
     let baseline = run_flow(aig, FlowKind::Baseline);
-    let ck_dir = checkpoint.map(|c| (c.dir_for(name), c.resume));
+    let ck_dir = checkpoint_root.map(|root| root.join(name));
     let proposed = run_flow_configured(
         aig,
         FlowKind::Proposed,
         num_threads,
-        ck_dir.as_ref().map(|(d, r)| (d.as_path(), *r)),
+        ck_dir.as_deref(),
         sim_filter,
     );
     let clock = baseline.result.critical_path * clock_fraction;

@@ -13,7 +13,7 @@
 //!
 //! Usage: `table1 [--full] [--threads N] [--check off|boundaries|paranoid]
 //! [--deadline SECONDS] [--fault-seed N] [--fault-rate R]
-//! [--checkpoint DIR [--resume]] [--only NAMES] [--report-json PATH]`
+//! [--checkpoint DIR] [--only NAMES] [--report-json PATH]`
 //! (default: reduced scale, serial, unchecked, unbounded, no injection).
 //! Checked runs validate the structural invariants of every intermediate
 //! network (see `sbm-check`) and list any violation after the table. A
@@ -22,10 +22,11 @@
 //! delays, forced bailouts) to exercise the fault-tolerant executor, and
 //! the resulting `FaultSummary` is printed after the table.
 //! `--checkpoint DIR` persists crash-safe progress per benchmark under
-//! `DIR`; `--resume` continues an interrupted checkpointed run (a
-//! benchmark whose checkpoint is missing or unusable is re-run fresh and
-//! the typed error reported). `--only NAMES` restricts the run to
-//! benchmarks matching any comma-separated substring. `--sim-filter off`
+//! `DIR`; rerunning into the same `DIR` continues each interrupted
+//! benchmark from its snapshot (one recorded for another input or other
+//! options, or damaged, is re-run fresh). `--only NAMES` restricts the
+//! run to benchmarks matching any comma-separated substring.
+//! `--sim-filter off`
 //! disables the simulation-signature candidate filter (see
 //! `SbmOptions::sim_filter`). `--report-json PATH` writes the aggregated
 //! run as a serialized `RunReport`. The verify column reads `eq(SAT)`
@@ -33,7 +34,7 @@
 //! or `MISMATCH`; any `MISMATCH` makes the binary exit 1 (validation).
 
 use sbm_core::pipeline::PipelineReport;
-use sbm_core::script::{resyn2rs_fixpoint, sbm_script_report, sbm_script_resumable, SbmOptions};
+use sbm_core::script::{resyn2rs_fixpoint, sbm_script_report, SbmOptions};
 use sbm_epfl::{benchmark, Scale};
 use sbm_lutmap::{map_luts, MapOptions};
 
@@ -49,7 +50,7 @@ fn main() {
     let check = sbm_bench::check_arg();
     let deadline = sbm_bench::deadline_arg();
     let fault_plan = sbm_bench::fault_plan_arg();
-    let (ckpt_root, resume) = sbm_bench::checkpoint_args();
+    let ckpt_root = sbm_bench::checkpoint_args();
     let only = sbm_bench::only_arg();
     let report_json = sbm_bench::report_json_arg();
     let sim_filter = sbm_bench::sim_filter_arg();
@@ -70,11 +71,7 @@ fn main() {
         );
     }
     if let Some(root) = &ckpt_root {
-        println!(
-            "checkpoint: {} ({})",
-            root.display(),
-            if resume { "resuming" } else { "fresh" }
-        );
+        println!("checkpoint: {}", root.display());
     }
     println!();
     println!(
@@ -108,17 +105,7 @@ fn main() {
             .checkpoint_dir(ckpt_root.as_ref().map(|d| d.join(name)))
             .build()
             .expect("valid options");
-        let run = if resume {
-            match sbm_script_resumable(&aig, &options, None, None) {
-                Ok(run) => run,
-                Err(e) => {
-                    eprintln!("{name}: cannot resume ({e}); running fresh");
-                    sbm_script_report(&aig, &options)
-                }
-            }
-        } else {
-            sbm_script_report(&aig, &options)
-        };
+        let run = sbm_script_report(&aig, &options);
         let sbm = run.aig;
         pipeline_report.merge(&run.stats);
         let sbm_map = map_luts(&sbm, &map_opts);

@@ -11,10 +11,11 @@
 //! monolithically to `i2c` and `cavlc`).
 //!
 //! Usage: `table2 [--full] [--threads N] [--deadline SECONDS]
-//! [--checkpoint DIR [--resume]] [--only NAMES] [--sim-filter on|off]
+//! [--checkpoint DIR] [--only NAMES] [--sim-filter on|off]
 //! [--report-json PATH]`.
 //! `--checkpoint DIR` persists crash-safe progress per benchmark under
-//! `DIR`; `--resume` continues an interrupted checkpointed run. `--only
+//! `DIR`; rerunning into the same `DIR` continues each interrupted
+//! benchmark from its snapshot (see table1). `--only
 //! NAMES` restricts the run to benchmarks matching any comma-separated
 //! substring. `--sim-filter off` disables the simulation-signature
 //! candidate filter (see `SbmOptions::sim_filter`). `--report-json PATH`
@@ -28,7 +29,7 @@ use sbm_budget::Budget;
 use sbm_core::bdiff::BdiffOptions;
 use sbm_core::engine::{Bdiff, Engine, EngineCtx};
 use sbm_core::pipeline::PipelineReport;
-use sbm_core::script::{resyn2rs_fixpoint, sbm_script_report, sbm_script_resumable, SbmOptions};
+use sbm_core::script::{resyn2rs_fixpoint, sbm_script_report, SbmOptions};
 use sbm_epfl::{benchmark, Scale};
 use sbm_metrics::Timer;
 
@@ -42,7 +43,7 @@ fn main() {
     let full = std::env::args().any(|a| a == "--full");
     let threads = sbm_bench::threads_arg();
     let deadline = sbm_bench::deadline_arg();
-    let (ckpt_root, resume) = sbm_bench::checkpoint_args();
+    let ckpt_root = sbm_bench::checkpoint_args();
     let only = sbm_bench::only_arg();
     let report_json = sbm_bench::report_json_arg();
     let sim_filter = sbm_bench::sim_filter_arg();
@@ -53,11 +54,7 @@ fn main() {
         if sim_filter { "on" } else { "off" }
     );
     if let Some(root) = &ckpt_root {
-        println!(
-            "checkpoint: {} ({})",
-            root.display(),
-            if resume { "resuming" } else { "fresh" }
-        );
+        println!("checkpoint: {}", root.display());
     }
     println!();
     println!(
@@ -85,17 +82,7 @@ fn main() {
             .build()
             .expect("valid options");
         let timer = Timer::start();
-        let run = if resume {
-            match sbm_script_resumable(&aig, &options, None, None) {
-                Ok(run) => run,
-                Err(e) => {
-                    eprintln!("{name}: cannot resume ({e}); running fresh");
-                    sbm_script_report(&aig, &options)
-                }
-            }
-        } else {
-            sbm_script_report(&aig, &options)
-        };
+        let run = sbm_script_report(&aig, &options);
         script_wall += timer.stop();
         processed.push(name.to_string());
         let sbm = run.aig;

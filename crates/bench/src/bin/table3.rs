@@ -6,18 +6,18 @@
 //! metrics the paper reports: combinational area, no-clock dynamic power,
 //! WNS, TNS and runtime, averaged w.r.t. baseline.
 //!
-//! Usage: `table3 [--designs N] [--threads N] [--checkpoint DIR
-//! [--resume]] [--sim-filter on|off] [--report-json PATH]` (default 33
-//! designs, serial, no checkpointing, filter on). `--checkpoint DIR`
-//! persists each design's optimization progress under `DIR/<design>`;
-//! `--resume` continues an interrupted run from there. `--sim-filter off`
-//! disables the simulation-signature candidate filter in the proposed
-//! flow (useful for measuring the filter's effect; see
-//! `SbmOptions::sim_filter`). `--report-json PATH` writes the aggregated
-//! run as a serialized `RunReport`.
+//! Usage: `table3 [--designs N] [--threads N] [--checkpoint DIR]
+//! [--sim-filter on|off] [--report-json PATH]` (default 33 designs,
+//! serial, no checkpointing, filter on). `--checkpoint DIR` persists each
+//! design's optimization progress under `DIR/<design>`; rerunning into
+//! the same `DIR` continues each interrupted design from there (see
+//! table1). `--sim-filter off` disables the simulation-signature
+//! candidate filter in the proposed flow (useful for measuring the
+//! filter's effect; see `SbmOptions::sim_filter`). `--report-json PATH`
+//! writes the aggregated run as a serialized `RunReport`.
 
 use sbm_asic::designs::industrial_designs;
-use sbm_asic::flow::{compare_flows_checkpointed, summarize, FlowCheckpoint};
+use sbm_asic::flow::{compare_flows_checkpointed, summarize};
 use sbm_core::pipeline::PipelineReport;
 
 fn main() {
@@ -29,21 +29,16 @@ fn main() {
         }
     }
     let threads = sbm_bench::threads_arg();
-    let (ckpt_root, resume) = sbm_bench::checkpoint_args();
+    let checkpoint = sbm_bench::checkpoint_args();
     let report_json = sbm_bench::report_json_arg();
     let sim_filter = sbm_bench::sim_filter_arg();
-    let checkpoint = ckpt_root.map(|root| FlowCheckpoint { root, resume });
     println!(
         "Table III — Post-implementation results on {n} industrial-like designs \
          (threads: {threads}, sim filter: {})",
         if sim_filter { "on" } else { "off" }
     );
-    if let Some(ck) = &checkpoint {
-        println!(
-            "checkpoint: {} ({})",
-            ck.root.display(),
-            if ck.resume { "resuming" } else { "fresh" }
-        );
+    if let Some(root) = &checkpoint {
+        println!("checkpoint: {}", root.display());
     }
     println!();
     println!(
@@ -68,7 +63,7 @@ fn main() {
                 &d.aig,
                 0.85,
                 threads,
-                checkpoint.as_ref(),
+                checkpoint.as_deref(),
                 sim_filter,
             );
             pipeline_report.merge(&row.pipeline);

@@ -21,8 +21,14 @@ pub const MISMATCH: &str = "MISMATCH";
 /// `"eq(SAT)"` for a proof and [`MISMATCH`] for a counterexample. Without
 /// a proof — the budget ran out, or the design is too big for the miter
 /// — random simulation screens the pair: `"unproven(sim)"` when it finds
-/// no difference, [`MISMATCH`] when it does.
+/// no difference, [`MISMATCH`] when it does. A pair whose input or output
+/// counts differ is a [`MISMATCH`] before either check runs.
 pub fn verify_pair(original: &Aig, optimized: &Aig, sat_node_limit: usize) -> &'static str {
+    if original.num_inputs() != optimized.num_inputs()
+        || original.num_outputs() != optimized.num_outputs()
+    {
+        return MISMATCH;
+    }
     let verdict = (original.num_ands().max(optimized.num_ands()) <= sat_node_limit).then(|| {
         MiterOracle::new()
             .with_conflict_budget(Some(200_000))
@@ -180,34 +186,23 @@ pub fn fault_plan_arg() -> Option<FaultPlan> {
     Some(FaultPlan::uniform(seed.unwrap_or(1), rate.unwrap_or(0.1)))
 }
 
-/// Parses the shared `--checkpoint DIR` / `--resume` CLI arguments of
-/// the table binaries. `--checkpoint DIR` makes every script/pipeline
-/// run persist crash-safe progress under a per-benchmark subdirectory of
-/// `DIR`; `--resume` picks interrupted runs up from those checkpoints
-/// instead of starting fresh. `--resume` without `--checkpoint` aborts
-/// with a usage message.
-pub fn checkpoint_args() -> (Option<std::path::PathBuf>, bool) {
-    let mut dir: Option<std::path::PathBuf> = None;
-    let mut resume = false;
+/// Parses the shared `--checkpoint DIR` CLI argument of the table
+/// binaries: every script run persists crash-safe progress under a
+/// per-benchmark subdirectory of `DIR`, and a rerun into the same `DIR`
+/// picks each benchmark up from its snapshot when that snapshot was
+/// recorded for the same input and options (any other starts fresh).
+pub fn checkpoint_args() -> Option<std::path::PathBuf> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--checkpoint" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--checkpoint needs a directory");
-                    std::process::exit(sbm_metrics::exit::USAGE);
-                };
-                dir = Some(std::path::PathBuf::from(value));
-            }
-            "--resume" => resume = true,
-            _ => {}
+        if a == "--checkpoint" {
+            let Some(value) = args.next() else {
+                eprintln!("--checkpoint needs a directory");
+                std::process::exit(sbm_metrics::exit::USAGE);
+            };
+            return Some(std::path::PathBuf::from(value));
         }
     }
-    if resume && dir.is_none() {
-        eprintln!("--resume requires --checkpoint DIR (the directory of the interrupted run)");
-        std::process::exit(sbm_metrics::exit::USAGE);
-    }
-    (dir, resume)
+    None
 }
 
 /// Parses the shared `--only NAMES` CLI argument: restricts a table
@@ -332,5 +327,21 @@ mod tests {
             "unproven(sim)"
         );
         assert_eq!(verdict_label(unknown, &original, &impostor), MISMATCH);
+    }
+
+    #[test]
+    fn pair_with_another_interface_is_mismatch() {
+        // Under the miter's node limit the miter would refuse the pair;
+        // above it, simulation would compare only the shared outputs.
+        let (original, rebuilt, _) = pair_and_impostor();
+        let mut extra_output = rebuilt.clone();
+        let out = extra_output.outputs()[0];
+        extra_output.add_output(out);
+        let mut extra_input = rebuilt;
+        extra_input.add_input();
+        for limit in [0, 100] {
+            assert_eq!(verify_pair(&original, &extra_output, limit), MISMATCH);
+            assert_eq!(verify_pair(&original, &extra_input, limit), MISMATCH);
+        }
     }
 }

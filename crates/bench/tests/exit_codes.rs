@@ -83,7 +83,6 @@ fn table_binaries_reject_bad_flags_with_usage() {
         env!("CARGO_BIN_EXE_table3"),
     ] {
         assert_eq!(code_of(bin, &["--sim-filter", "bogus"]), exit::USAGE);
-        assert_eq!(code_of(bin, &["--resume"]), exit::USAGE);
     }
 }
 

@@ -45,8 +45,8 @@
 //! Script runs are also crash-safe: with
 //! [`script::SbmOptions::checkpoint_dir`] set, the network after each
 //! script step is persisted as a CRC-checked snapshot (`sbm_journal`),
-//! and [`script::sbm_script_resumable`] picks an interrupted run up at
-//! the last recorded step.
+//! and the next run on the same input under the same options picks up
+//! at the last recorded step (see [`script::script_fingerprint`]).
 //!
 //! # Example
 //!

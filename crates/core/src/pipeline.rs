@@ -224,8 +224,9 @@ pub struct PipelineReport {
     /// retries and degraded windows, per engine. All-zero
     /// ([`FaultSummary::is_zero`]) on a healthy run.
     pub fault: FaultSummary,
-    /// Resume bookkeeping: set only by a script run resumed from its
-    /// state snapshot (`script::sbm_script_resumable`).
+    /// Resume bookkeeping: set only by a checkpointed script run that
+    /// found a snapshot recorded for its own input and options and
+    /// resumed from it (see `script::SbmOptions::checkpoint_dir`).
     pub resume: Option<ResumeSummary>,
     /// First checkpoint I/O failure of the script run, if any.
     /// Checkpointing is best-effort: a full disk degrades durability,

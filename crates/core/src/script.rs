@@ -146,28 +146,37 @@ struct ScriptCkpt {
 }
 
 impl ScriptCkpt {
-    /// The state of a run under `options` in `dir` that skips the first
-    /// `resume_from` steps.
-    fn new(dir: &Path, options: &SbmOptions, resume_from: u64) -> ScriptCkpt {
-        ScriptCkpt {
+    /// Opens the checkpoint of a run under `options` on the cleaned
+    /// `input` in `dir`. A snapshot recorded for this input under these
+    /// options resumes: its network comes back with the state that skips
+    /// the steps it covers. Anything else — no snapshot, a damaged one,
+    /// or one recorded for another input or other options — is
+    /// overwritten by `input` as the step-0 snapshot of a fresh run.
+    fn open(
+        dir: &Path,
+        options: &SbmOptions,
+        input: &Aig,
+    ) -> Result<(ScriptCkpt, Option<Aig>), JournalError> {
+        let fingerprint = script_fingerprint(options, input);
+        let ck = |resume_from| ScriptCkpt {
             dir: dir.to_path_buf(),
             every: options.checkpoint_every.max(1),
-            fingerprint: script_fingerprint(options),
+            fingerprint,
             resume_from,
             seen: Cell::new(0),
             clean: Cell::new(true),
             error: RefCell::new(None),
             saved: Cell::new(false),
+        };
+        let state = dir.join(SCRIPT_STATE_FILE);
+        if let Ok((net, meta)) = read_aig_snapshot(&state) {
+            if meta.fingerprint == fingerprint {
+                return Ok((ck(meta.seq), Some(net)));
+            }
         }
-    }
-
-    /// Fresh-run setup: create the directory and persist the cleaned
-    /// input as the step-0 snapshot.
-    fn create(dir: &Path, options: &SbmOptions, cur: &Aig) -> Result<ScriptCkpt, JournalError> {
         sbm_journal::ensure_dir(dir)?;
-        let ck = ScriptCkpt::new(dir, options, 0);
-        write_aig_snapshot(&ck.dir.join(SCRIPT_STATE_FILE), cur, ck.fingerprint, 0)?;
-        Ok(ck)
+        write_aig_snapshot(&state, input, fingerprint, 0)?;
+        Ok((ck(0), None))
     }
 
     /// Persists `net` (cleaned) as the state after `seq` completed steps.
@@ -435,9 +444,10 @@ pub struct SbmOptions {
     /// injected into the windowed steps' per-window engine invocations.
     pub fault_plan: Option<FaultPlan>,
     /// Directory for step-grained crash-safe checkpoints (`None` = off).
-    /// When set, the script persists the network after completed steps
-    /// and [`sbm_script_resumable`] can pick an interrupted run up from
-    /// the last recorded step.
+    /// When set, the script persists the network after completed steps,
+    /// and a later run on the same input under the same results-affecting
+    /// options picks up from the last recorded step (see
+    /// [`script_fingerprint`]); any other snapshot there is overwritten.
     pub checkpoint_dir: Option<PathBuf>,
     /// Snapshot cadence in script steps: `1` (the default) persists after
     /// every step, larger values amortize the write at the cost of
@@ -721,11 +731,12 @@ impl SbmOptionsBuilder {
 /// [`SbmOptions::num_threads`] workers; balancing and the gradient,
 /// hetero and SAT steps run once over the whole network. With
 /// [`SbmOptions::checkpoint_dir`] set, the run additionally persists
-/// step-grained progress; checkpoint I/O failures are best-effort
-/// (reported, never fatal).
+/// step-grained progress and resumes from a snapshot recorded there for
+/// the same input and options (the report's `resume` says how many steps
+/// it skipped); checkpoint I/O failures are best-effort (reported, never
+/// fatal).
 pub fn sbm_script_report(aig: &Aig, options: &SbmOptions) -> Optimized<PipelineReport> {
-    let budget = Budget::from_deadline(options.deadline);
-    script_body(aig, options, budget, None, None, PipelineReport::default())
+    script_body(aig, options, Budget::from_deadline(options.deadline), None)
 }
 
 /// [`sbm_script_report`] under an externally owned [`Budget`] instead of
@@ -734,88 +745,52 @@ pub fn sbm_script_report(aig: &Aig, options: &SbmOptions) -> Optimized<PipelineR
 /// the caller keeps a handle on the budget, so it can preempt the run
 /// cooperatively ([`Budget::cancel`]) or bound it with a slice
 /// sub-budget ([`Budget::child`]) while the script persists checkpoints
-/// as usual — a preempted run is parked, not lost. `sink` is fired after
-/// every step whose snapshot was persisted, with the report accumulated
-/// up to exactly that step (see [`ReportSink`]); without a configured
-/// [`SbmOptions::checkpoint_dir`] it never fires.
+/// as usual — a preempted run is parked, not lost, and the next call
+/// resumes it. `sink` is fired after every step whose snapshot was
+/// persisted, with the report accumulated up to exactly that step (see
+/// [`ReportSink`]); without a configured [`SbmOptions::checkpoint_dir`]
+/// it never fires, and neither does it on a pure replay.
 pub fn sbm_script_budgeted_observed(
     aig: &Aig,
     options: &SbmOptions,
     budget: &Budget,
     sink: ReportSink<'_>,
 ) -> Optimized<PipelineReport> {
-    script_body(
-        aig,
-        options,
-        budget.clone(),
-        None,
-        Some(sink),
-        PipelineReport::default(),
-    )
+    script_body(aig, options, budget.clone(), Some(sink))
 }
 
-/// Resumes an interrupted checkpointed script run from
-/// [`SbmOptions::checkpoint_dir`]. An external `budget` replaces the one
-/// derived from [`SbmOptions::deadline`], and `sink` observes every newly
-/// persisted snapshot, as in [`sbm_script_budgeted_observed`]. The last
-/// recorded snapshot is validated (CRC + `sbm-check`), the steps it
-/// covers are skipped, and the remaining steps run to completion. The
-/// options must match the interrupted run's
-/// ([`JournalError::ConfigMismatch`] otherwise). A resume that is a pure
-/// replay persists no new snapshots and fires no sinks.
-///
-/// Falls back cleanly: callers that cannot resume (corrupt or missing
-/// checkpoint) typically retry with a fresh run, which overwrites the
-/// checkpoint.
-pub fn sbm_script_resumable(
-    aig: &Aig,
-    options: &SbmOptions,
-    budget: Option<&Budget>,
-    sink: Option<ReportSink<'_>>,
-) -> Result<Optimized<PipelineReport>, JournalError> {
-    let dir = options
-        .checkpoint_dir
-        .as_ref()
-        .ok_or(JournalError::NotConfigured)?;
-    let fingerprint = script_fingerprint(options);
-    let (net, meta) = read_aig_snapshot(&dir.join(SCRIPT_STATE_FILE))?;
-    if meta.fingerprint != fingerprint {
-        return Err(JournalError::ConfigMismatch {
-            expected: fingerprint,
-            found: meta.fingerprint,
-        });
-    }
-    let ckpt = ScriptCkpt::new(dir, options, meta.seq);
-    let report = PipelineReport {
-        resume: Some(ResumeSummary {
-            steps_skipped: meta.seq as usize,
-        }),
-        ..PipelineReport::default()
-    };
-    let budget = budget.map_or_else(|| Budget::from_deadline(options.deadline), Budget::clone);
-    Ok(script_body(
-        aig,
-        options,
-        budget,
-        Some((ckpt, net)),
-        sink,
-        report,
-    ))
-}
-
-/// The script fingerprint stamped into step snapshots: every builder-
-/// level knob that changes *results* — iterations, engine limits, SAT
-/// budgets, checking, fault plan. Thread count, deadline and the
-/// checkpoint configuration itself are excluded (timing/durability only,
-/// a resume may change them). Public so embedders (the job server) can
-/// reason about checkpoint compatibility without re-deriving the rule.
+/// The script fingerprint stamped into step snapshots: the cleaned
+/// `input` network node for node (what [`sbm_script_report`] starts
+/// from, `aig.cleanup()`), plus every builder-level knob that changes
+/// *results* — iterations, engine limits, SAT budgets, checking, fault
+/// plan. Thread count, deadline and the checkpoint configuration itself
+/// are excluded (timing/durability only, a resume may change them). A
+/// snapshot resumes only under its own fingerprint, so a run never
+/// continues from another design's network. Public so embedders (the
+/// job server) can reason about checkpoint compatibility without
+/// re-deriving the rule.
 #[must_use]
-pub fn script_fingerprint(options: &SbmOptions) -> u64 {
+pub fn script_fingerprint(options: &SbmOptions, input: &Aig) -> u64 {
     let mut h = Fnv64::new();
-    // v5: the arena AIG core renumbers cleanup output canonically, so
-    // snapshots written by older (pre-arena) binaries replay into a
-    // different numbering and must not be resumed.
-    h.write_str("sbm-script-v5");
+    // v6: the fingerprint covers the input network, so snapshots written
+    // by older binaries (options only) run fresh.
+    h.write_str("sbm-script-v6");
+    h.write_u64(input.num_inputs() as u64);
+    for &id in input.inputs() {
+        h.write_u64(id.index() as u64);
+    }
+    let ands = input.topo_order();
+    h.write_u64(ands.len() as u64);
+    for id in ands {
+        let (a, b) = input.fanins(id);
+        h.write_u64(id.index() as u64);
+        h.write_u64(u64::from(a.code()));
+        h.write_u64(u64::from(b.code()));
+    }
+    h.write_u64(input.num_outputs() as u64);
+    for lit in input.outputs() {
+        h.write_u64(u64::from(lit.code()));
+    }
     h.write_u64(options.iterations as u64);
     h.write_u64(u64::from(options.sim_filter));
     h.write_u64(u64::from(options.canonical_steps));
@@ -848,17 +823,17 @@ pub fn script_fingerprint(options: &SbmOptions) -> u64 {
     h.finish()
 }
 
-/// The shared body of the fresh entry points (`resume = None`) and
-/// [`sbm_script_resumable`] (resuming from a loaded snapshot).
+/// The shared body of both entry points. With
+/// [`SbmOptions::checkpoint_dir`] set, whether the run resumes is decided
+/// here, by [`ScriptCkpt::open`], and nowhere else.
 fn script_body(
     aig: &Aig,
     options: &SbmOptions,
     budget: Budget,
-    resume: Option<(ScriptCkpt, Aig)>,
     sink: Option<ReportSink<'_>>,
-    mut report: PipelineReport,
 ) -> Optimized<PipelineReport> {
     let check = options.check_level;
+    let mut report = PipelineReport::default();
 
     // Boundary pre-check on the RAW input (cleanup would loop on a
     // corrupted redirection map); a corrupt input passes through as-is.
@@ -876,26 +851,31 @@ fn script_body(
     // equivalence checks) so the report measures only this script.
     let _ = crate::bdd_bridge::drain_bdd_tally();
     let _ = sbm_sat::drain_sat_tally();
-    // Fresh checkpointed runs persist the cleaned input as step 0;
-    // resumed runs start from the loaded snapshot instead (its network
+    // A fresh checkpointed run persists the cleaned input as step 0; a
+    // resumed one starts from the loaded snapshot instead (its network
     // already includes the effect of every skipped step).
-    let (ckpt, mut cur) = match resume {
-        Some((ckpt, net)) => (Some(ckpt), net),
-        None => {
-            let cur = aig.cleanup();
-            let ckpt = options.checkpoint_dir.as_ref().and_then(|dir| {
-                match ScriptCkpt::create(dir, options, &cur) {
-                    Ok(ckpt) => Some(ckpt),
-                    Err(e) => {
-                        report.checkpoint_error = Some(e.to_string());
-                        None
-                    }
-                }
-            });
-            (ckpt, cur)
+    let cleaned = aig.cleanup();
+    let (ckpt, resumed) = match options
+        .checkpoint_dir
+        .as_deref()
+        .map(|dir| ScriptCkpt::open(dir, options, &cleaned))
+    {
+        None => (None, None),
+        Some(Ok((ckpt, resumed))) => {
+            if resumed.is_some() {
+                report.resume = Some(ResumeSummary {
+                    steps_skipped: ckpt.resume_from as usize,
+                });
+            }
+            (Some(ckpt), resumed)
+        }
+        Some(Err(e)) => {
+            report.checkpoint_error = Some(e.to_string());
+            (None, None)
         }
     };
-    let input = check.at_boundaries().then(|| cur.clone());
+    let input = check.at_boundaries().then(|| cleaned.clone());
+    let mut cur = resumed.unwrap_or(cleaned);
     // One budget governs the whole run: every engine step, inner pass and
     // SAT gate below shares it, so the deadline bounds the run end to end.
     let ctx = StepCtx {
@@ -1134,9 +1114,9 @@ mod tests {
         let full = sbm_script_report(&aig, &options);
         assert_eq!(full.stats.checkpoint_error, None);
         assert_eq!(full.aig.num_ands(), plain.aig.num_ands());
-        // Resuming a finished run replays the final snapshot: every step
-        // is skipped and the loaded network is returned as-is.
-        let resumed = sbm_script_resumable(&aig, &options, None, None).expect("resume");
+        // Re-running a finished run replays the final snapshot: every
+        // step is skipped and the loaded network is returned as-is.
+        let resumed = sbm_script_report(&aig, &options);
         let summary = resumed.stats.resume.expect("summary");
         assert_eq!(summary.steps_skipped, 8, "one iteration = 8 script steps");
         assert_eq!(resumed.aig.num_ands(), full.aig.num_ands());
@@ -1154,7 +1134,7 @@ mod tests {
             0,
         )
         .expect("roll back to step 0");
-        let restarted = sbm_script_resumable(&aig, &options, None, None).expect("resume from 0");
+        let restarted = sbm_script_report(&aig, &options);
         assert_eq!(restarted.stats.resume.expect("summary").steps_skipped, 0);
         assert_eq!(restarted.aig.num_ands(), full.aig.num_ands());
         assert!(proven_equivalent(&net, &restarted.aig));
@@ -1213,8 +1193,8 @@ mod tests {
         drop(parked);
 
         // Slice 2: resume with an open-ended budget and run to the end.
-        let resumed = sbm_script_resumable(&aig, &options, None, None)
-            .expect("resume from parked checkpoint");
+        let resumed = sbm_script_report(&aig, &options);
+        assert!(resumed.stats.resume.is_some(), "threads {threads}");
         assert_eq!(
             sbm_aig::aiger::write(&resumed.aig),
             ref_text,
@@ -1222,7 +1202,8 @@ mod tests {
         );
 
         // A third resume replays the finished snapshot, still identical.
-        let replayed = sbm_script_resumable(&aig, &options, None, None).expect("pure replay");
+        let replayed = sbm_script_report(&aig, &options);
+        assert_eq!(replayed.stats.resume.expect("summary").steps_skipped, 8);
         assert_eq!(
             sbm_aig::aiger::write(&replayed.aig),
             ref_text,
@@ -1270,8 +1251,12 @@ mod tests {
                 sbm_metrics::RunReport::from_json(json).expect("sink report decodes");
             }
         }
-        let replay = sbm_script_resumable(&aig, &options, None, Some(ReportSink(&observer)))
-            .expect("pure replay");
+        let replay = sbm_script_budgeted_observed(
+            &aig,
+            &options,
+            &Budget::unlimited(),
+            ReportSink(&observer),
+        );
         assert_eq!(replay.stats.resume.expect("summary").steps_skipped, 8);
         assert_eq!(
             fired.lock().expect("observer lock").len(),
@@ -1294,13 +1279,82 @@ mod tests {
             .canonical_steps(true)
             .build()
             .expect("valid configuration");
-        assert_ne!(script_fingerprint(&base), script_fingerprint(&canonical));
+        let aig = benchmark_aig().cleanup();
+        assert_ne!(
+            script_fingerprint(&base, &aig),
+            script_fingerprint(&canonical, &aig)
+        );
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sbm-script-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A checkpointed run of `aig` into `dir` that must start fresh:
+    /// byte-identical to an uncheckpointed run, no resume, no checkpoint
+    /// error, and `dir` then holds this run's finished snapshot.
+    fn assert_runs_fresh(aig: &Aig, options: &SbmOptions, dir: &Path) {
+        let plain = SbmOptions {
+            checkpoint_dir: None,
+            ..options.clone()
+        };
+        let expected = sbm_aig::aiger::write(&sbm_script_report(aig, &plain).aig);
+        let run = sbm_script_report(aig, options);
+        assert_eq!(run.stats.resume, None);
+        assert_eq!(run.stats.checkpoint_error, None);
+        assert!(run.stats.check_violations.is_empty());
+        assert_eq!(sbm_aig::aiger::write(&run.aig), expected);
+        let (net, meta) = read_aig_snapshot(&dir.join(SCRIPT_STATE_FILE)).expect("snapshot");
+        assert_eq!(
+            meta.fingerprint,
+            script_fingerprint(options, &aig.cleanup())
+        );
+        assert_eq!(sbm_aig::aiger::write(&net), expected);
     }
 
     #[test]
-    fn script_resume_rejects_drift_and_missing_configuration() {
-        let dir = std::env::temp_dir().join(format!("sbm-script-drift-{}", std::process::id()));
+    fn another_networks_checkpoint_runs_fresh() {
+        // A checkpoint of reduced priority offered to arbiter under the
+        // same options must not resume: arbiter gets its own network.
+        let dir = tmp_dir("other-net");
+        let options = SbmOptions::builder()
+            .iterations(1)
+            .check_level(CheckLevel::Boundaries)
+            .checkpoint_dir(Some(dir.clone()))
+            .build()
+            .expect("valid configuration");
+        let generate = |name| sbm_epfl::generate(name, sbm_epfl::Scale::Reduced).expect("design");
+        let priority = sbm_script_report(&generate("priority"), &options);
+        assert_eq!(priority.stats.checkpoint_error, None);
+        assert_runs_fresh(&generate("arbiter"), &options, &dir);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_snapshot_runs_fresh() {
+        let dir = tmp_dir("damaged");
+        let aig = benchmark_aig();
+        let options = SbmOptions::builder()
+            .iterations(1)
+            .checkpoint_dir(Some(dir.clone()))
+            .build()
+            .expect("valid configuration");
+        sbm_script_report(&aig, &options);
+        let state = dir.join(SCRIPT_STATE_FILE);
+        let mut bytes = std::fs::read(&state).expect("snapshot bytes");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&state, bytes).expect("flip one byte");
+        assert!(read_aig_snapshot(&state).is_err());
+        assert_runs_fresh(&aig, &options, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn option_drift_runs_fresh() {
+        let dir = tmp_dir("drift");
         let aig = benchmark_aig();
         let options = SbmOptions::builder()
             .iterations(1)
@@ -1313,18 +1367,15 @@ mod tests {
             .checkpoint_dir(Some(dir.clone()))
             .build()
             .expect("valid configuration");
-        assert!(matches!(
-            sbm_script_resumable(&aig, &drifted, None, None),
-            Err(JournalError::ConfigMismatch { .. })
-        ));
+        assert_runs_fresh(&aig, &drifted, &dir);
+        // Without a checkpoint directory nothing is resumed or recorded.
         let unconfigured = SbmOptions::builder()
             .iterations(1)
             .build()
             .expect("valid configuration");
-        assert!(matches!(
-            sbm_script_resumable(&aig, &unconfigured, None, None),
-            Err(JournalError::NotConfigured)
-        ));
+        let run = sbm_script_report(&aig, &unconfigured);
+        assert_eq!(run.stats.resume, None);
+        assert_eq!(run.stats.checkpoint_error, None);
         assert!(matches!(
             SbmOptions::builder().checkpoint_every(0).build(),
             Err(OptionsError::ZeroCheckpointEvery)

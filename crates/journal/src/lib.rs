@@ -74,8 +74,7 @@ pub const SCRIPT_STATE_FILE: &str = "script.state";
 /// Corruption is always reported, never panicked on: a flipped byte in
 /// a snapshot body or CRC field surfaces as [`Self::BadCrc`], a flipped
 /// version field as [`Self::VersionMismatch`], a truncated tail as
-/// [`Self::TornTail`], and a snapshot produced by a different script
-/// configuration as [`Self::ConfigMismatch`].
+/// [`Self::TornTail`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalError {
     /// An I/O operation failed; `op` names the operation, `path` the
@@ -104,14 +103,6 @@ pub enum JournalError {
     },
     /// The file ends mid-header or mid-payload.
     TornTail,
-    /// The snapshot was written under a different script configuration
-    /// fingerprint and cannot be resumed by this one.
-    ConfigMismatch {
-        /// Fingerprint the resuming configuration computed.
-        expected: u64,
-        /// Fingerprint stored in the file.
-        found: u64,
-    },
     /// A CRC-valid payload is structurally malformed (internal
     /// inconsistency, out-of-range reference, or oversized claim).
     BadPayload {
@@ -127,8 +118,6 @@ pub enum JournalError {
     /// The decoded network failed `sbm-check` structural or simulation
     /// validation.
     SnapshotInvalid(CheckError),
-    /// A resume entry point was called without checkpointing configured.
-    NotConfigured,
 }
 
 impl JournalError {
@@ -162,11 +151,6 @@ impl fmt::Display for JournalError {
             }
             JournalError::BadCrc { context } => write!(f, "CRC mismatch in {context}"),
             JournalError::TornTail => write!(f, "file ends early (torn tail)"),
-            JournalError::ConfigMismatch { expected, found } => write!(
-                f,
-                "checkpoint written under configuration {found:#018x}, \
-                 cannot resume under {expected:#018x}"
-            ),
             JournalError::BadPayload { detail } => write!(f, "malformed payload: {detail}"),
             JournalError::NotCanonical { node } => {
                 write!(
@@ -175,12 +159,6 @@ impl fmt::Display for JournalError {
                 )
             }
             JournalError::SnapshotInvalid(e) => write!(f, "snapshot failed validation: {e}"),
-            JournalError::NotConfigured => {
-                write!(
-                    f,
-                    "resume requested but no checkpoint directory is configured"
-                )
-            }
         }
     }
 }
@@ -280,11 +258,6 @@ mod tests {
 
     #[test]
     fn errors_display_their_diagnostics() {
-        let e = JournalError::ConfigMismatch {
-            expected: 1,
-            found: 2,
-        };
-        assert!(e.to_string().contains("cannot resume"));
         assert!(JournalError::TornTail.to_string().contains("torn"));
         assert!(JournalError::BadCrc {
             context: "snapshot"

@@ -42,7 +42,7 @@ use std::thread;
 use std::time::Duration;
 
 use sbm_budget::Budget;
-use sbm_core::script::{sbm_script_budgeted_observed, sbm_script_resumable, ReportSink};
+use sbm_core::script::{sbm_script_budgeted_observed, ReportSink};
 use sbm_metrics::{RunReport, ServerCounters, Timer};
 use sbm_vfs::{ChaosVfs, IoFaultPlan};
 
@@ -743,23 +743,18 @@ fn run_slice(shared: &Shared, key: &str, job_budget: &Budget, slice: &Budget) ->
         let _ = shared.store.write_partial_report(key, &total.to_json());
     };
 
-    // The PR 3 ladder, job-server edition: resume from the parked
-    // checkpoint when one exists; fall back to a fresh (checkpointing)
-    // run when it doesn't or is damaged; isolate panics that escape the
-    // pipeline's own per-engine isolation.
+    // The script resumes from the parked checkpoint when one matches
+    // this job's input and options, and starts fresh (overwriting it)
+    // otherwise; panics that escape the pipeline's own per-engine
+    // isolation are caught here.
     let run = catch_unwind(AssertUnwindSafe(|| {
-        match sbm_script_resumable(&input, &options, Some(slice), Some(ReportSink(&persist))) {
-            Ok(out) => (out, true),
-            Err(_) => (
-                sbm_script_budgeted_observed(&input, &options, slice, ReportSink(&persist)),
-                false,
-            ),
-        }
+        sbm_script_budgeted_observed(&input, &options, slice, ReportSink(&persist))
     }));
-    let (out, resumed) = match run {
-        Ok(pair) => pair,
+    let out = match run {
+        Ok(out) => out,
         Err(panic) => return SliceOutcome::Panicked(panic_message(&panic)),
     };
+    let resumed = out.stats.resume.is_some();
     // Reports leave run_slice pre-composed with the prior slices' total,
     // so settle/compose never re-read the partial (the observer above
     // may have overwritten it mid-slice — re-absorbing would double

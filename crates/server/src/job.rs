@@ -153,6 +153,10 @@ mod tests {
             ..JobOptions::default()
         })
         .expect("valid");
-        assert_eq!(script_fingerprint(&a), script_fingerprint(&b));
+        let input = crate::corpus::corpus_aig(0).cleanup();
+        assert_eq!(
+            script_fingerprint(&a, &input),
+            script_fingerprint(&b, &input)
+        );
     }
 }

@@ -182,7 +182,7 @@ fn every_corpus_entry_replays_byte_identically_across_parks() {
     // snapshot captures, and under finite SAT/move budgets the sharper
     // filter changed the result.
     use sbm_budget::Budget;
-    use sbm_core::script::{sbm_script_budgeted_observed, sbm_script_resumable, ReportSink};
+    use sbm_core::script::{sbm_script_budgeted_observed, ReportSink};
 
     let wire = JobOptions {
         iterations: 2,
@@ -210,8 +210,11 @@ fn every_corpus_entry_replays_byte_identically_across_parks() {
             assert!(parks < 40, "entry {index} never completed");
             slice_ms *= 2;
             budget = Budget::from_deadline(Some(Duration::from_millis(slice_ms)));
-            out = sbm_script_resumable(&input, &options, Some(&budget), None)
-                .expect("resume from parked checkpoint");
+            out = sbm_script_budgeted_observed(&input, &options, &budget, ReportSink(&|_| {}));
+            assert!(
+                out.stats.resume.is_some(),
+                "entry {index}: re-entry {parks} did not resume from the parked checkpoint"
+            );
         }
         assert_eq!(
             sbm_aig::aiger::write(&out.aig),

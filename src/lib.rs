@@ -22,9 +22,9 @@
 //! [`core::engine::EngineCtx::check_level`]), and the [`budget`]
 //! crate bounds engine effort with wall-clock deadlines and cooperative
 //! cancellation (see [`core::engine::EngineCtx::budget`]). The
-//! [`journal`] crate persists a script run after every step, so an
-//! interrupted run resumes where it stopped
-//! ([`core::script::sbm_script_resumable`]).
+//! [`journal`] crate persists a script run after every step, so rerunning
+//! an interrupted run on the same input and options resumes where it
+//! stopped ([`core::script::SbmOptions::checkpoint_dir`]).
 //!
 //! # Quickstart
 //!
