@@ -13,8 +13,9 @@
 //!
 //! Usage: `table1 [--full] [--threads N] [--check off|boundaries|paranoid]
 //! [--deadline SECONDS] [--fault-seed N] [--fault-rate R]
-//! [--checkpoint DIR] [--only NAMES] [--report-json PATH]`
-//! (default: reduced scale, serial, unchecked, unbounded, no injection).
+//! [--checkpoint DIR] [--only NAMES] [--sim-filter on|off]
+//! [--report-json PATH]` (default: reduced scale, serial, unchecked,
+//! unbounded, no injection); any other argument is a usage error.
 //! Checked runs validate the structural invariants of every intermediate
 //! network (see `sbm-check`) and list any violation after the table. A
 //! deadline makes the run degrade gracefully instead of overrunning;
@@ -45,15 +46,19 @@ const TABLE1: [&str; 12] = [
 ];
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    let threads = sbm_bench::threads_arg();
-    let check = sbm_bench::check_arg();
-    let deadline = sbm_bench::deadline_arg();
-    let fault_plan = sbm_bench::fault_plan_arg();
-    let ckpt_root = sbm_bench::checkpoint_args();
-    let only = sbm_bench::only_arg();
-    let report_json = sbm_bench::report_json_arg();
-    let sim_filter = sbm_bench::sim_filter_arg();
+    let args = sbm_bench::TableArgs::parse("table1", sbm_bench::TABLE1_FLAGS);
+    let sbm_bench::TableArgs {
+        full,
+        threads,
+        check,
+        deadline,
+        fault_plan,
+        checkpoint: ckpt_root,
+        only,
+        sim_filter,
+        report_json,
+        ..
+    } = args;
     let scale = if full { Scale::Full } else { Scale::Reduced };
     println!("Table I — New Best Area Results For The EPFL Suite (LUT-6)");
     println!(

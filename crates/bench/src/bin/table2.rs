@@ -12,7 +12,7 @@
 //!
 //! Usage: `table2 [--full] [--threads N] [--deadline SECONDS]
 //! [--checkpoint DIR] [--only NAMES] [--sim-filter on|off]
-//! [--report-json PATH]`.
+//! [--report-json PATH]`; any other argument is a usage error.
 //! `--checkpoint DIR` persists crash-safe progress per benchmark under
 //! `DIR`; rerunning into the same `DIR` continues each interrupted
 //! benchmark from its snapshot (see table1). `--only
@@ -40,13 +40,17 @@ const TABLE2: [&str; 13] = [
 ];
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    let threads = sbm_bench::threads_arg();
-    let deadline = sbm_bench::deadline_arg();
-    let ckpt_root = sbm_bench::checkpoint_args();
-    let only = sbm_bench::only_arg();
-    let report_json = sbm_bench::report_json_arg();
-    let sim_filter = sbm_bench::sim_filter_arg();
+    let args = sbm_bench::TableArgs::parse("table2", sbm_bench::TABLE2_FLAGS);
+    let sbm_bench::TableArgs {
+        full,
+        threads,
+        deadline,
+        checkpoint: ckpt_root,
+        only,
+        sim_filter,
+        report_json,
+        ..
+    } = args;
     let scale = if full { Scale::Full } else { Scale::Reduced };
     println!("Table II — Smallest AIG Results For The EPFL Suite");
     println!(

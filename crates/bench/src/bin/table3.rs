@@ -8,7 +8,8 @@
 //!
 //! Usage: `table3 [--designs N] [--threads N] [--checkpoint DIR]
 //! [--sim-filter on|off] [--report-json PATH]` (default 33 designs,
-//! serial, no checkpointing, filter on). `--checkpoint DIR` persists each
+//! serial, no checkpointing, filter on); any other argument is a usage
+//! error. `--checkpoint DIR` persists each
 //! design's optimization progress under `DIR/<design>`; rerunning into
 //! the same `DIR` continues each interrupted design from there (see
 //! table1). `--sim-filter off` disables the simulation-signature
@@ -21,17 +22,15 @@ use sbm_asic::flow::{compare_flows_checkpointed, summarize};
 use sbm_core::pipeline::PipelineReport;
 
 fn main() {
-    let mut n = 33usize;
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--designs") {
-        if let Some(v) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            n = v;
-        }
-    }
-    let threads = sbm_bench::threads_arg();
-    let checkpoint = sbm_bench::checkpoint_args();
-    let report_json = sbm_bench::report_json_arg();
-    let sim_filter = sbm_bench::sim_filter_arg();
+    let args = sbm_bench::TableArgs::parse("table3", sbm_bench::TABLE3_FLAGS);
+    let sbm_bench::TableArgs {
+        designs: n,
+        threads,
+        checkpoint,
+        sim_filter,
+        report_json,
+        ..
+    } = args;
     println!(
         "Table III — Post-implementation results on {n} industrial-like designs \
          (threads: {threads}, sim filter: {})",

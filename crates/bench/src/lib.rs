@@ -6,6 +6,7 @@
 //! `fig1` (the Boolean-difference worked example). The criterion benches
 //! cover runtime behaviour and the ablations called out in `DESIGN.md`.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
 use sbm_aig::Aig;
@@ -69,158 +70,207 @@ pub fn sim_equal(a: &Aig, b: &Aig) -> bool {
         .all(|(x, y)| (0..4).all(|w| sa.lit_word(x, w) == sb.lit_word(y, w)))
 }
 
-/// Parses the shared `--threads N` CLI argument of the table binaries
-/// (default 1 = serial).
-pub fn threads_arg() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return args
+/// Every flag a table binary may accept, with the value it takes (empty
+/// for a switch). Each binary accepts its own subset: [`TABLE1_FLAGS`],
+/// [`TABLE2_FLAGS`], [`TABLE3_FLAGS`].
+const FLAGS: [(&str, &str); 11] = [
+    ("--full", ""),
+    ("--threads", "N"),
+    ("--check", "off|boundaries|paranoid"),
+    ("--deadline", "SECONDS"),
+    ("--fault-seed", "N"),
+    ("--fault-rate", "R"),
+    ("--checkpoint", "DIR"),
+    ("--only", "NAMES"),
+    ("--sim-filter", "on|off"),
+    ("--report-json", "PATH"),
+    ("--designs", "N"),
+];
+
+/// The flags `table1` accepts.
+pub const TABLE1_FLAGS: &[&str] = &[
+    "--full",
+    "--threads",
+    "--check",
+    "--deadline",
+    "--fault-seed",
+    "--fault-rate",
+    "--checkpoint",
+    "--only",
+    "--sim-filter",
+    "--report-json",
+];
+/// The flags `table2` accepts.
+pub const TABLE2_FLAGS: &[&str] = &[
+    "--full",
+    "--threads",
+    "--deadline",
+    "--checkpoint",
+    "--only",
+    "--sim-filter",
+    "--report-json",
+];
+/// The flags `table3` accepts.
+pub const TABLE3_FLAGS: &[&str] = &[
+    "--designs",
+    "--threads",
+    "--checkpoint",
+    "--sim-filter",
+    "--report-json",
+];
+
+/// The command line of a table binary, parsed in one pass over the
+/// flags the binary accepts. Anything else — an unknown, misspelt or
+/// retired flag, a stray positional argument, a missing or malformed
+/// value — is a usage error, never silently ignored.
+#[derive(Debug, Clone)]
+pub struct TableArgs {
+    /// `--full`: paper-scale benchmarks (default: reduced scale).
+    pub full: bool,
+    /// `--threads N`, N ≥ 1 (default 1 = serial).
+    pub threads: usize,
+    /// `--check off|boundaries|paranoid` (default `off`).
+    pub check: CheckLevel,
+    /// `--deadline SECONDS` per script run, positive (default `None` =
+    /// unbounded). The run degrades gracefully at the deadline instead
+    /// of aborting.
+    pub deadline: Option<Duration>,
+    /// `--fault-seed N` / `--fault-rate R`: a deterministic
+    /// [`FaultPlan`] (each of panic/delay/bailout gets probability `R`,
+    /// in `[0, 1/3]`, per engine invocation). `None` — no injection, zero
+    /// overhead — unless at least one flag is given; a bare
+    /// `--fault-seed` defaults the rate to 0.1, a bare `--fault-rate`
+    /// the seed to 1.
+    pub fault_plan: Option<FaultPlan>,
+    /// `--checkpoint DIR`: every script run persists crash-safe
+    /// progress under a per-benchmark subdirectory of `DIR`, and a rerun
+    /// into the same `DIR` picks each benchmark up from its snapshot
+    /// when that snapshot was recorded for the same input and options
+    /// (any other starts fresh).
+    pub checkpoint: Option<PathBuf>,
+    /// `--only NAMES`: restricts the run to the benchmarks matched by
+    /// [`only_matches`]; `NAMES` is a comma-separated list of
+    /// substrings, e.g. `--only i2c,priority`.
+    pub only: Option<String>,
+    /// `--sim-filter on|off` (default `on`): whether runs maintain the
+    /// shared simulation-signature service that filters candidates
+    /// before BDD/SAT work and harvests counterexamples from failed
+    /// equivalence checks. The filter is a sound necessary condition (it
+    /// never costs quality) and only skips work: either setting runs the
+    /// same schedule and gives the same result at every `--threads N`;
+    /// see `SbmOptions::sim_filter`.
+    pub sim_filter: bool,
+    /// `--report-json PATH`: after the run, a serialized
+    /// [`sbm_metrics::RunReport`] is written to `PATH` (see
+    /// [`write_report`]).
+    pub report_json: Option<PathBuf>,
+    /// `--designs N`: how many designs `table3` runs (default 33).
+    pub designs: usize,
+}
+
+impl TableArgs {
+    /// Parses the process arguments of the binary `program`, which
+    /// accepts the flags in `accepted`. On a usage error it prints the
+    /// reason and a usage line and exits with
+    /// [`sbm_metrics::exit::USAGE`].
+    pub fn parse(program: &str, accepted: &[&str]) -> TableArgs {
+        TableArgs::parse_from(std::env::args().skip(1), accepted).unwrap_or_else(|e| {
+            let usage: Vec<String> = FLAGS
+                .iter()
+                .filter(|(flag, _)| accepted.contains(flag))
+                .map(|(flag, value)| match *value {
+                    "" => format!("[{flag}]"),
+                    value => format!("[{flag} {value}]"),
+                })
+                .collect();
+            eprintln!("{program}: {e}");
+            eprintln!("usage: {program} {}", usage.join(" "));
+            std::process::exit(sbm_metrics::exit::USAGE);
+        })
+    }
+
+    /// Parses `args` (without the program name) over the flags in
+    /// `accepted`.
+    ///
+    /// # Errors
+    ///
+    /// The reason, for any argument that is not an accepted flag, and
+    /// for a missing or malformed value.
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        accepted: &[&str],
+    ) -> Result<TableArgs, String> {
+        let mut out = TableArgs {
+            full: false,
+            threads: 1,
+            check: CheckLevel::Off,
+            deadline: None,
+            fault_plan: None,
+            checkpoint: None,
+            only: None,
+            sim_filter: true,
+            report_json: None,
+            designs: 33,
+        };
+        let (mut fault_seed, mut fault_rate) = (None, None);
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let Some(&(flag, hint)) = FLAGS
+                .iter()
+                .find(|(flag, _)| *flag == arg && accepted.contains(flag))
+            else {
+                return Err(format!("unknown argument {arg:?}"));
+            };
+            if flag == "--full" {
+                out.full = true;
+                continue;
+            }
+            let value = args
                 .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1);
-        }
-    }
-    1
-}
-
-/// Parses the shared `--sim-filter on|off` CLI argument of the table
-/// binaries (default `on`): whether runs maintain the shared
-/// simulation-signature service that filters candidates before BDD/SAT
-/// work and harvests counterexamples from failed equivalence checks.
-/// The filter is a sound necessary condition (it never costs quality)
-/// and only skips work: either setting runs the same schedule and gives
-/// the same result at every `--threads N`; see `SbmOptions::sim_filter`.
-pub fn sim_filter_arg() -> bool {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--sim-filter" {
-            let Some(value) = args.next() else {
-                eprintln!("--sim-filter needs a value: on | off");
-                std::process::exit(sbm_metrics::exit::USAGE);
-            };
-            return match value.as_str() {
-                "on" => true,
-                "off" => false,
-                other => {
-                    eprintln!("--sim-filter needs on|off, got {other:?}");
-                    std::process::exit(sbm_metrics::exit::USAGE);
+                .ok_or_else(|| format!("{flag} needs a value: {hint}"))?;
+            let bad = || format!("{flag} needs {hint}, got {value:?}");
+            match flag {
+                "--threads" => {
+                    out.threads = value.parse().ok().filter(|&n| n >= 1).ok_or_else(bad)?;
                 }
-            };
-        }
-    }
-    true
-}
-
-/// Parses the shared `--check off|boundaries|paranoid` CLI argument of
-/// the table binaries (default `off`). An unrecognized level aborts with
-/// a usage message rather than silently running unchecked.
-pub fn check_arg() -> CheckLevel {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--check" {
-            let Some(value) = args.next() else {
-                eprintln!("--check needs a level: off | boundaries | paranoid");
-                std::process::exit(sbm_metrics::exit::USAGE);
-            };
-            return value.parse().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(sbm_metrics::exit::USAGE);
-            });
-        }
-    }
-    CheckLevel::Off
-}
-
-/// Parses the shared `--deadline SECONDS` CLI argument (default `None` =
-/// unbounded). The run degrades gracefully at the deadline instead of
-/// aborting; non-positive or unparsable values abort with a usage message.
-pub fn deadline_arg() -> Option<Duration> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--deadline" {
-            let seconds: f64 = args.next().and_then(|v| v.parse().ok()).unwrap_or(0.0);
-            if seconds <= 0.0 {
-                eprintln!("--deadline needs a positive number of seconds");
-                std::process::exit(sbm_metrics::exit::USAGE);
-            }
-            return Some(Duration::from_secs_f64(seconds));
-        }
-    }
-    None
-}
-
-/// Parses the shared `--fault-seed N` / `--fault-rate R` CLI arguments
-/// into a deterministic [`FaultPlan`] (each of panic/delay/bailout gets
-/// probability `R` per engine invocation). Returns `None` — no injection,
-/// zero overhead — unless at least one of the flags is present; a bare
-/// `--fault-seed` defaults the rate to 0.1, a bare `--fault-rate`
-/// defaults the seed to 1.
-pub fn fault_plan_arg() -> Option<FaultPlan> {
-    let mut seed: Option<u64> = None;
-    let mut rate: Option<f64> = None;
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--fault-seed" => {
-                seed = Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--fault-seed needs an integer seed");
-                    std::process::exit(sbm_metrics::exit::USAGE);
-                }));
-            }
-            "--fault-rate" => {
-                let r: f64 = args.next().and_then(|v| v.parse().ok()).unwrap_or(-1.0);
-                if !(0.0..=1.0 / 3.0).contains(&r) {
-                    eprintln!("--fault-rate needs a probability in [0, 0.333]");
-                    std::process::exit(sbm_metrics::exit::USAGE);
+                "--check" => out.check = value.parse().map_err(|e| format!("{e}"))?,
+                "--deadline" => {
+                    let seconds: f64 = value.parse().map_err(|_| bad())?;
+                    if !(seconds > 0.0 && seconds.is_finite()) {
+                        return Err(format!("{flag} needs a positive number of seconds"));
+                    }
+                    out.deadline = Some(Duration::from_secs_f64(seconds));
                 }
-                rate = Some(r);
+                "--fault-seed" => fault_seed = Some(value.parse::<u64>().map_err(|_| bad())?),
+                "--fault-rate" => {
+                    let rate: f64 = value.parse().map_err(|_| bad())?;
+                    if !(0.0..=1.0 / 3.0).contains(&rate) {
+                        return Err(format!("{flag} needs a probability in [0, 0.333]"));
+                    }
+                    fault_rate = Some(rate);
+                }
+                "--checkpoint" => out.checkpoint = Some(PathBuf::from(value)),
+                "--only" => out.only = Some(value),
+                "--sim-filter" => {
+                    out.sim_filter = match value.as_str() {
+                        "on" => true,
+                        "off" => false,
+                        _ => return Err(bad()),
+                    };
+                }
+                "--report-json" => out.report_json = Some(PathBuf::from(value)),
+                "--designs" => out.designs = value.parse().map_err(|_| bad())?,
+                _ => unreachable!("every entry of FLAGS is handled above"),
             }
-            _ => {}
         }
-    }
-    if seed.is_none() && rate.is_none() {
-        return None;
-    }
-    Some(FaultPlan::uniform(seed.unwrap_or(1), rate.unwrap_or(0.1)))
-}
-
-/// Parses the shared `--checkpoint DIR` CLI argument of the table
-/// binaries: every script run persists crash-safe progress under a
-/// per-benchmark subdirectory of `DIR`, and a rerun into the same `DIR`
-/// picks each benchmark up from its snapshot when that snapshot was
-/// recorded for the same input and options (any other starts fresh).
-pub fn checkpoint_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--checkpoint" {
-            let Some(value) = args.next() else {
-                eprintln!("--checkpoint needs a directory");
-                std::process::exit(sbm_metrics::exit::USAGE);
-            };
-            return Some(std::path::PathBuf::from(value));
+        if fault_seed.is_some() || fault_rate.is_some() {
+            out.fault_plan = Some(FaultPlan::uniform(
+                fault_seed.unwrap_or(1),
+                fault_rate.unwrap_or(0.1),
+            ));
         }
+        Ok(out)
     }
-    None
-}
-
-/// Parses the shared `--only NAMES` CLI argument: restricts a table
-/// binary to the benchmarks matched by [`only_matches`] (used by the CI
-/// smokes to keep the run small). `NAMES` is a comma-separated list of
-/// substrings, e.g. `--only i2c,priority`.
-pub fn only_arg() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--only" {
-            let Some(value) = args.next() else {
-                eprintln!("--only needs a benchmark name (comma-separated substring match)");
-                std::process::exit(sbm_metrics::exit::USAGE);
-            };
-            return Some(value);
-        }
-    }
-    None
 }
 
 /// True when `name` is selected by an `--only` filter: no filter selects
@@ -231,23 +281,6 @@ pub fn only_matches(only: &Option<String>, name: &str) -> bool {
         None => true,
         Some(list) => list.split(',').any(|o| !o.is_empty() && name.contains(o)),
     }
-}
-
-/// Parses the shared `--report-json PATH` CLI argument of the table
-/// binaries: after the run, a serialized [`sbm_metrics::RunReport`] is
-/// written to `PATH` (see [`write_report`]).
-pub fn report_json_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--report-json" {
-            let Some(value) = args.next() else {
-                eprintln!("--report-json needs an output path");
-                std::process::exit(sbm_metrics::exit::USAGE);
-            };
-            return Some(std::path::PathBuf::from(value));
-        }
-    }
-    None
 }
 
 /// Writes a [`sbm_metrics::RunReport`] to the `--report-json` path,
@@ -300,6 +333,83 @@ mod tests {
             g.or(ab, c)
         });
         (original, rebuilt, impostor)
+    }
+
+    fn parse(line: &str, accepted: &[&str]) -> Result<TableArgs, String> {
+        TableArgs::parse_from(line.split_whitespace().map(String::from), accepted)
+    }
+
+    #[test]
+    fn every_flag_the_scripts_pass_parses() {
+        // The table1 and table3 command lines of ci.sh and run_tables.sh
+        // (which runs table2 without flags).
+        for line in [
+            "",
+            "--fault-seed 1 --fault-rate 0.15 --deadline 5",
+            "--only i2c --checkpoint ck --deadline 0.2",
+            "--only i2c --checkpoint ck",
+            "--only i2c --checkpoint ck --sim-filter off",
+            "--only i2c,priority --threads 2 --report-json BENCH_quick.json",
+            "--only priority --threads 2",
+            "--only priority --threads 2 --sim-filter off",
+            "--only priority --threads 1 --sim-filter off",
+            "--only no-such-benchmark",
+        ] {
+            parse(line, TABLE1_FLAGS).unwrap_or_else(|e| panic!("table1 {line}: {e}"));
+        }
+        parse("--full --threads 2 --only i2c", TABLE2_FLAGS).expect("table2");
+        let args = parse("--designs 8", TABLE3_FLAGS).expect("table3");
+        assert_eq!(args.designs, 8);
+
+        let args = parse(
+            "--full --threads 4 --check paranoid --deadline 1.5 --fault-seed 9 \
+             --checkpoint ck --only a,b --sim-filter off --report-json r.json",
+            TABLE1_FLAGS,
+        )
+        .expect("every table1 flag");
+        assert!(args.full && !args.sim_filter);
+        assert_eq!(args.threads, 4);
+        assert_eq!(args.check, CheckLevel::Paranoid);
+        assert_eq!(args.deadline, Some(Duration::from_millis(1500)));
+        let plan = args.fault_plan.expect("a bare seed injects");
+        assert_eq!((plan.seed, plan.panic_rate), (9, 0.1));
+        assert_eq!(args.checkpoint, Some(PathBuf::from("ck")));
+        assert_eq!(args.only.as_deref(), Some("a,b"));
+        assert_eq!(args.report_json, Some(PathBuf::from("r.json")));
+
+        let defaults = parse("", TABLE3_FLAGS).expect("no flags");
+        assert!(!defaults.full && defaults.sim_filter && defaults.fault_plan.is_none());
+        assert_eq!((defaults.threads, defaults.designs), (1, 33));
+    }
+
+    #[test]
+    fn anything_but_a_known_flag_is_a_usage_error() {
+        for line in [
+            "--resume",
+            "--only no-such --thred 2 --resume",
+            "i2c",
+            "--threads",
+            "--threads 0",
+            "--threads two",
+            "--check loud",
+            "--deadline 0",
+            "--deadline -1",
+            "--fault-seed x",
+            "--fault-rate 0.5",
+            "--sim-filter bogus",
+            "--only",
+            "--designs 8",
+            "--full=1",
+        ] {
+            assert!(
+                parse(line, TABLE1_FLAGS).is_err(),
+                "table1 accepted {line:?}"
+            );
+        }
+        // A flag of another table binary is not this one's.
+        assert!(parse("--full", TABLE3_FLAGS).is_err());
+        assert!(parse("--check off", TABLE2_FLAGS).is_err());
+        assert!(parse("--designs x", TABLE3_FLAGS).is_err());
     }
 
     #[test]

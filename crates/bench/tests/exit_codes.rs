@@ -75,15 +75,25 @@ fn report_check_distinguishes_ok_validation_usage_and_runtime() {
 
 #[test]
 fn table_binaries_reject_bad_flags_with_usage() {
-    // `--sim-filter` is shared by all three table binaries and parsed
-    // before any benchmark work starts, so the bad-value path is cheap.
+    // Arguments are parsed before any benchmark work starts, so the
+    // usage-error paths are cheap.
     for bin in [
         env!("CARGO_BIN_EXE_table1"),
         env!("CARGO_BIN_EXE_table2"),
         env!("CARGO_BIN_EXE_table3"),
     ] {
         assert_eq!(code_of(bin, &["--sim-filter", "bogus"]), exit::USAGE);
+        // A retired flag is an error, not silently ignored.
+        assert_eq!(code_of(bin, &["--resume"]), exit::USAGE);
     }
+    // Nor is a misspelt one, wherever it stands.
+    assert_eq!(
+        code_of(
+            env!("CARGO_BIN_EXE_table1"),
+            &["--only", "no-such", "--thred", "2", "--resume"]
+        ),
+        exit::USAGE
+    );
 }
 
 #[test]

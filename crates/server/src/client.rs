@@ -181,6 +181,10 @@ impl Client {
     /// [`ClientError::Protocol`] on connect failure.
     pub fn connect_with(addr: &str, chaos: Option<NetFaultPlan>) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr).map_err(ProtocolError::Io)?;
+        // Requests are small and strictly request→reply: never let
+        // Nagle's algorithm hold one back for an ACK. Best-effort — a
+        // socket that refuses still works, only slower.
+        let _ = stream.set_nodelay(true);
         let transport = match chaos {
             None => Transport::Plain(stream),
             Some(plan) => Transport::Chaos(ChaosTransport::new(stream, plan)),

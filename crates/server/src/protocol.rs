@@ -488,21 +488,39 @@ impl Reply {
 
 // --- frame I/O ----------------------------------------------------------
 
-/// Writes one frame (length prefix + payload CRC + payload) and
-/// flushes.
+/// Encodes one frame — length prefix, payload CRC, payload — into a
+/// single buffer, so it can leave in one write.
 ///
 /// # Errors
 ///
-/// [`ProtocolError::Io`] on socket failure, [`ProtocolError::Timeout`]
-/// when a write deadline expires.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
+/// [`ProtocolError::Oversized`] when the payload exceeds [`MAX_FRAME`].
+pub(crate) fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
     let len = u32::try_from(payload.len()).map_err(|_| ProtocolError::Oversized(u32::MAX))?;
     if len > MAX_FRAME {
         return Err(ProtocolError::Oversized(len));
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    Ok(frame)
+}
+
+/// Writes one frame (length prefix + payload CRC + payload) in a single
+/// write and flushes.
+///
+/// One write per frame matters on a socket: a frame split over several
+/// small writes lets Nagle's algorithm hold the later ones until the
+/// peer's delayed ACK, a ~40 ms stall per frame. Both ends also set
+/// `TCP_NODELAY`.
+///
+/// # Errors
+///
+/// [`ProtocolError::Oversized`] when the payload exceeds [`MAX_FRAME`],
+/// [`ProtocolError::Io`] on socket failure, [`ProtocolError::Timeout`]
+/// when a write deadline expires.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
+    w.write_all(&encode_frame(payload)?)?;
     w.flush()?;
     Ok(())
 }
@@ -705,33 +723,28 @@ impl<S: Write> ChaosTransport<S> {
             }
             Some(NetFaultKind::Truncate) => {
                 self.faults += 1;
-                let len =
-                    u32::try_from(payload.len()).map_err(|_| ProtocolError::Oversized(u32::MAX))?;
-                if payload.is_empty() {
-                    // Nothing to halve: stall after half the prefix.
-                    self.inner.write_all(&len.to_le_bytes()[..2])?;
+                let frame = encode_frame(payload)?;
+                // The header and half the payload; with nothing to
+                // halve, stall after half the length prefix.
+                let cut = if payload.is_empty() {
+                    2
                 } else {
-                    self.inner.write_all(&len.to_le_bytes())?;
-                    self.inner.write_all(&crc32(payload).to_le_bytes())?;
-                    self.inner.write_all(&payload[..payload.len() / 2])?;
-                }
+                    8 + payload.len() / 2
+                };
+                self.inner.write_all(&frame[..cut])?;
                 self.inner.flush()?;
                 Ok(())
             }
             Some(NetFaultKind::Corrupt) => {
                 self.faults += 1;
-                let mut damaged = payload.to_vec();
-                if !damaged.is_empty() {
-                    let idx = self.plan.derive(DIR_SEND, seq, damaged.len() as u64) as usize;
-                    damaged[idx] ^= 0x5A;
-                }
                 // The CRC is of the *original* payload, so the peer's
                 // frame validation catches the flip.
-                let len =
-                    u32::try_from(payload.len()).map_err(|_| ProtocolError::Oversized(u32::MAX))?;
-                self.inner.write_all(&len.to_le_bytes())?;
-                self.inner.write_all(&crc32(payload).to_le_bytes())?;
-                self.inner.write_all(&damaged)?;
+                let mut frame = encode_frame(payload)?;
+                if !payload.is_empty() {
+                    let idx = self.plan.derive(DIR_SEND, seq, payload.len() as u64) as usize;
+                    frame[8 + idx] ^= 0x5A;
+                }
+                self.inner.write_all(&frame)?;
                 self.inner.flush()?;
                 Ok(())
             }
@@ -913,6 +926,52 @@ mod tests {
         wire[last] ^= 0x01;
         let mut read = std::io::Cursor::new(wire);
         assert!(matches!(read_frame(&mut read), Err(ProtocolError::BadCrc)));
+    }
+
+    /// A `Write` that accepts every write whole and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_goes_out_in_one_write() {
+        for len in [0usize, 1024, 200 * 1024] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).expect("write");
+            assert_eq!(w.writes, 1, "{len}-byte payload took {} writes", w.writes);
+            let mut read = std::io::Cursor::new(w.bytes);
+            assert_eq!(read_frame(&mut read).expect("read"), payload);
+        }
+    }
+
+    #[test]
+    fn frame_layout_is_length_crc_payload() {
+        // The wire format, byte for byte: u32 LE length, u32 LE CRC-32
+        // of the payload, the payload.
+        let payload = b"\x02\x05\x00\x00\x00job-1";
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        expected.extend_from_slice(&crc32(payload).to_le_bytes());
+        expected.extend_from_slice(payload);
+        assert_eq!(encode_frame(payload).expect("encode"), expected);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, payload).expect("write");
+        assert_eq!(wire, expected);
     }
 
     #[test]

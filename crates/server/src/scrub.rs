@@ -360,7 +360,11 @@ mod tests {
         let report = scrub_store(&store).expect("scrub");
         let reasons: Vec<ScrubReason> = report.quarantined.iter().map(|q| q.reason).collect();
         assert_eq!(reasons, vec![ScrubReason::BadInput, ScrubReason::BadInput]);
-        assert!(!store.exists("a"), "job.meta quarantined with its input");
+        assert_eq!(
+            store.classify("a"),
+            None,
+            "job.meta quarantined with its input"
+        );
         // Only the healthy job remains visible.
         let jobs = store.scan().expect("scan");
         assert_eq!(jobs.len(), 1);

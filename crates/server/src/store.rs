@@ -15,8 +15,10 @@
 //!
 //! `job.meta` is written **last** on admission: its presence is the
 //! commit point that makes a job durable, and the server replies
-//! `ACCEPTED` only after it lands. On restart, [`Store::scan`] walks
-//! the root and classifies every committed job from its files alone.
+//! `ACCEPTED` only after it lands. [`Store::classify`] reads one job's
+//! state from its files alone — the server answers every finished job
+//! this way, holding none in memory — and on restart [`Store::scan`]
+//! walks the root and classifies every committed job.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,10 +84,12 @@ pub struct JobResult {
     pub aiger: String,
 }
 
-/// Disk-derived classification of a committed job at startup.
+/// Disk-derived classification of a committed job ([`Store::classify`],
+/// [`Store::scan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanState {
-    /// `result.bin` present and intact: serve RESULT from disk.
+    /// `result.bin` present and intact: the job is finished and RESULT
+    /// streams it from disk.
     Done,
     /// `cancelled` marker present.
     Cancelled,
@@ -340,12 +344,6 @@ impl Store {
         self.job_dir(key).join("ckpt")
     }
 
-    /// Whether `key` has been durably admitted.
-    #[must_use]
-    pub fn exists(&self, key: &str) -> bool {
-        self.vfs.exists(&self.job_dir(key).join("job.meta"))
-    }
-
     /// Durably admits a job: input snapshot and checkpoint directory
     /// first, `job.meta` last as the commit point.
     ///
@@ -465,15 +463,45 @@ impl Store {
         self.with_retries(|vfs| write_record(vfs, &path, META_MAGIC, &[]))
     }
 
-    /// Whether a job carries the cancelled marker.
+    /// Classifies the job stored under `key` from its files alone:
+    /// [`ScanState::Done`] when `result.bin` is intact,
+    /// [`ScanState::Cancelled`] when the cancel marker is present,
+    /// [`ScanState::InFlight`] otherwise. `None` when no valid
+    /// `job.meta` for `key` is there: never admitted, a torn admission,
+    /// or a directory whose meta carries another key (directory names
+    /// are 64-bit hashes, which can collide).
     #[must_use]
-    pub fn is_cancelled(&self, key: &str) -> bool {
-        self.vfs.exists(&self.job_dir(key).join("cancelled"))
+    pub fn classify(&self, key: &str) -> Option<ScanState> {
+        self.classify_dir(&self.job_dir(key))
+            .filter(|job| job.meta.key == key)
+            .map(|job| job.state)
     }
 
-    /// Walks the root and classifies every durably admitted job, in
-    /// deterministic (directory-name) order. Directories without a
-    /// valid `job.meta` — torn admissions — are skipped.
+    /// Classifies one job directory (see [`Store::classify`]); `None`
+    /// when its `job.meta` is missing or torn.
+    fn classify_dir(&self, dir: &Path) -> Option<ScannedJob> {
+        let meta = self
+            .with_retries(|vfs| decode_meta(&read_record(vfs, &dir.join("job.meta"), META_MAGIC)?))
+            .ok()?;
+        let state = if self
+            .with_retries(|vfs| {
+                decode_result(&read_record(vfs, &dir.join("result.bin"), RESULT_MAGIC)?)
+            })
+            .is_ok()
+        {
+            ScanState::Done
+        } else if self.vfs.exists(&dir.join("cancelled")) {
+            ScanState::Cancelled
+        } else {
+            ScanState::InFlight
+        };
+        Some(ScannedJob { meta, state })
+    }
+
+    /// Walks the root and classifies every durably admitted job the way
+    /// [`Store::classify`] does, in deterministic (directory-name)
+    /// order. Directories without a valid `job.meta` — torn admissions,
+    /// never `ACCEPTED` — are skipped.
     ///
     /// # Errors
     ///
@@ -484,28 +512,10 @@ impl Store {
             .into_iter()
             .filter(|p| p.is_dir())
             .collect();
-        let mut jobs = Vec::new();
-        for dir in dirs {
-            let Ok(meta) = self.with_retries(|vfs| {
-                decode_meta(&read_record(vfs, &dir.join("job.meta"), META_MAGIC)?)
-            }) else {
-                continue; // torn admission: never ACCEPTED, safe to skip
-            };
-            let state = if self
-                .with_retries(|vfs| {
-                    decode_result(&read_record(vfs, &dir.join("result.bin"), RESULT_MAGIC)?)
-                })
-                .is_ok()
-            {
-                ScanState::Done
-            } else if self.vfs.exists(&dir.join("cancelled")) {
-                ScanState::Cancelled
-            } else {
-                ScanState::InFlight
-            };
-            jobs.push(ScannedJob { meta, state });
-        }
-        Ok(jobs)
+        Ok(dirs
+            .iter()
+            .filter_map(|dir| self.classify_dir(dir))
+            .collect())
     }
 }
 
@@ -547,8 +557,8 @@ mod tests {
         let store = Store::open(&root).expect("open");
         let meta = sample_meta("job-a");
         store.create_job(&meta, &tiny_aig()).expect("create");
-        assert!(store.exists("job-a"));
-        assert!(!store.exists("job-b"));
+        assert_eq!(store.classify("job-a"), Some(ScanState::InFlight));
+        assert_eq!(store.classify("job-b"), None);
         assert_eq!(store.read_meta("job-a").expect("meta"), meta);
         let input = store.read_input("job-a").expect("input");
         assert_eq!(input.num_inputs(), 2);
@@ -606,6 +616,42 @@ mod tests {
         assert_eq!(state_of("done"), ScanState::Done);
         assert_eq!(state_of("cancelled"), ScanState::Cancelled);
         assert_eq!(state_of("inflight"), ScanState::InFlight);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn classify_reads_one_job_and_refuses_a_foreign_meta() {
+        let root = tmp_root("classify");
+        let store = Store::open(&root).expect("open");
+        let aig = tiny_aig();
+        assert_eq!(store.classify("absent"), None);
+
+        store.create_job(&sample_meta("job"), &aig).expect("create");
+        assert_eq!(store.classify("job"), Some(ScanState::InFlight));
+        store.mark_cancelled("job").expect("cancel");
+        assert_eq!(store.classify("job"), Some(ScanState::Cancelled));
+        let result = JobResult {
+            report_json: "{}".to_string(),
+            aiger: "aag 0 0 0 0 0\n".to_string(),
+        };
+        store.write_result("job", &result).expect("result");
+        assert_eq!(store.classify("job"), Some(ScanState::Done));
+
+        // A directory whose job.meta carries another key, as a hash
+        // collision would leave it: the job is not `other`'s.
+        let other = store.job_dir("other");
+        fs::create_dir_all(&other).expect("mkdir");
+        fs::copy(
+            store.job_dir("job").join("job.meta"),
+            other.join("job.meta"),
+        )
+        .expect("copy");
+        fs::copy(
+            store.job_dir("job").join("result.bin"),
+            other.join("result.bin"),
+        )
+        .expect("copy");
+        assert_eq!(store.classify("other"), None);
         let _ = fs::remove_dir_all(&root);
     }
 

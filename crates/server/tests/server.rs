@@ -326,3 +326,26 @@ fn full_queue_answers_busy_not_hang() {
     }
     let _ = client.shutdown(false);
 }
+
+#[test]
+fn status_round_trips_run_at_wire_speed() {
+    // One frame per write on TCP_NODELAY sockets: a round trip costs
+    // microseconds. Split writes under Nagle's algorithm waited for the
+    // peer's delayed ACK, ≥ 40 ms each, ≥ 2 s for these 50.
+    let addr = start_server(ServerConfig {
+        root: tmp_root("wire"),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    let start = Instant::now();
+    for _ in 0..50 {
+        let (state, _) = client.status("never-submitted").expect("status");
+        assert_eq!(state, JobState::Unknown);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(1500),
+        "50 STATUS round trips took {elapsed:?}"
+    );
+    let _ = client.shutdown(false);
+}
