@@ -11,6 +11,8 @@ use sbm_budget::Budget;
 use sbm_core::engine::{Bdiff, Engine, EngineCtx};
 
 fn main() {
+    // fig1 takes no flags: anything on the command line is a usage error.
+    sbm_bench::TableArgs::parse("fig1", &[]);
     // f and g share a small Boolean difference but no structure:
     //   g = (x1·x2) + (x3·x4)
     //   f = ((x1·x2) + (x3·x4)) ⊕ x5, built as an independent cone.

@@ -175,16 +175,16 @@ impl TableArgs {
     /// [`sbm_metrics::exit::USAGE`].
     pub fn parse(program: &str, accepted: &[&str]) -> TableArgs {
         TableArgs::parse_from(std::env::args().skip(1), accepted).unwrap_or_else(|e| {
-            let usage: Vec<String> = FLAGS
+            let usage: String = FLAGS
                 .iter()
                 .filter(|(flag, _)| accepted.contains(flag))
                 .map(|(flag, value)| match *value {
-                    "" => format!("[{flag}]"),
-                    value => format!("[{flag} {value}]"),
+                    "" => format!(" [{flag}]"),
+                    value => format!(" [{flag} {value}]"),
                 })
                 .collect();
             eprintln!("{program}: {e}");
-            eprintln!("usage: {program} {}", usage.join(" "));
+            eprintln!("usage: {program}{usage}");
             std::process::exit(sbm_metrics::exit::USAGE);
         })
     }

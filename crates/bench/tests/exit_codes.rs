@@ -94,6 +94,11 @@ fn table_binaries_reject_bad_flags_with_usage() {
         ),
         exit::USAGE
     );
+    // fig1 takes no flags at all.
+    assert_eq!(
+        code_of(env!("CARGO_BIN_EXE_fig1"), &["--thred", "2"]),
+        exit::USAGE
+    );
 }
 
 #[test]

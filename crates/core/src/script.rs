@@ -70,11 +70,10 @@ fn bank_tallies(report: &mut PipelineReport, ctx: &StepCtx<'_>) {
         }
     }
     report.sim.merge(&sbm_sim::drain_sim_tally());
-    // Durable counters: when this step's snapshot was just persisted,
-    // the report now covers exactly the steps the snapshot covers —
-    // hand it to the observer so the embedder's counter store advances
-    // in lockstep with the checkpoint (a kill after this point loses
-    // neither, a kill before it loses both to the same resume point).
+    // Durable counters: when this step's cadence snapshot was just
+    // persisted, the report now covers exactly the steps the snapshot
+    // covers — hand it to the observer so the embedder's counter store
+    // advances in lockstep with the checkpoint.
     if let (Some(ck), Some(sink)) = (&ctx.ckpt, ctx.report_sink) {
         if ck.saved.replace(false) {
             (sink.0)(report);
@@ -82,13 +81,13 @@ fn bank_tallies(report: &mut PipelineReport, ctx: &StepCtx<'_>) {
     }
 }
 
-/// Borrowed observer fired right after a step whose checkpoint snapshot
-/// was persisted, with the [`PipelineReport`] accumulated so far — which
-/// covers exactly the steps that snapshot covers. Embedders that keep
-/// their own durable counters alongside the checkpoint (the job server's
-/// partial report) persist them here, so a hard kill between two
-/// checkpoints loses the counters of at most the steps a resume will
-/// re-run anyway.
+/// Borrowed observer fired right after a step whose cadence snapshot
+/// (see [`SbmOptions::checkpoint_every`]) was persisted, with the
+/// [`PipelineReport`] accumulated so far — which covers exactly the steps
+/// that snapshot covers. Embedders that keep their own durable counters
+/// alongside a step-cadence checkpoint persist them here. A budget stop's
+/// snapshot does not fire it: at that point the report also counts the
+/// tripped step, which the snapshot does not cover.
 #[derive(Clone, Copy)]
 pub struct ReportSink<'a>(pub &'a (dyn Fn(&PipelineReport) + Sync));
 
@@ -121,6 +120,14 @@ struct StepCtx<'a> {
 /// sequence of network-to-network steps, so the persistent unit is "the
 /// cleaned network after step N": a snapshot with `seq = N` means the
 /// first N steps completed cleanly and resume may skip them.
+///
+/// The save rule: a clean step whose number is a multiple of the
+/// cadence ([`SbmOptions::checkpoint_every`]) saves its output, and a
+/// run the budget stops saves its last clean network — the input of the
+/// step that tripped, or the current network when the stop falls
+/// between steps — unless the snapshot on disk already holds it. A
+/// fresh run writes no snapshot of its input (the caller has it), and a
+/// finished run records nothing beyond its cadence snapshots.
 #[derive(Debug, Clone)]
 struct ScriptCkpt {
     dir: PathBuf,
@@ -134,14 +141,16 @@ struct ScriptCkpt {
     seen: Cell<u64>,
     /// False once a step ended with the budget expired: its result is
     /// (possibly) degraded by timing, so neither it nor anything after
-    /// it is recorded — the previous snapshot stands and resume re-runs
-    /// from there.
+    /// it is recorded — the run parks at the tripped step's input.
     clean: Cell<bool>,
+    /// `seq` of this run's snapshot on disk: the loaded one, or the last
+    /// successful save; `None` while a fresh run has recorded nothing.
+    persisted: Cell<Option<u64>>,
     /// First snapshot-write failure; checkpointing is best-effort.
     error: RefCell<Option<String>>,
-    /// Set by a successful [`ScriptCkpt::save`], consumed by
-    /// [`bank_tallies`] to fire the run's [`ReportSink`] (if any) once
-    /// the saved step's tallies are banked.
+    /// Set by a successful cadence save, consumed by [`bank_tallies`] to
+    /// fire the run's [`ReportSink`] (if any) once the saved step's
+    /// tallies are banked.
     saved: Cell<bool>,
 }
 
@@ -150,62 +159,69 @@ impl ScriptCkpt {
     /// `input` in `dir`. A snapshot recorded for this input under these
     /// options resumes: its network comes back with the state that skips
     /// the steps it covers. Anything else — no snapshot, a damaged one,
-    /// or one recorded for another input or other options — is
-    /// overwritten by `input` as the step-0 snapshot of a fresh run.
+    /// or one recorded for another input or other options — is ignored,
+    /// and this run's first save overwrites it.
     fn open(
         dir: &Path,
         options: &SbmOptions,
         input: &Aig,
     ) -> Result<(ScriptCkpt, Option<Aig>), JournalError> {
         let fingerprint = script_fingerprint(options, input);
-        let ck = |resume_from| ScriptCkpt {
+        let ck = |persisted: Option<u64>| ScriptCkpt {
             dir: dir.to_path_buf(),
             every: options.checkpoint_every.max(1),
             fingerprint,
-            resume_from,
+            resume_from: persisted.unwrap_or(0),
             seen: Cell::new(0),
             clean: Cell::new(true),
+            persisted: Cell::new(persisted),
             error: RefCell::new(None),
             saved: Cell::new(false),
         };
-        let state = dir.join(SCRIPT_STATE_FILE);
-        if let Ok((net, meta)) = read_aig_snapshot(&state) {
+        if let Ok((net, meta)) = read_aig_snapshot(&dir.join(SCRIPT_STATE_FILE)) {
             if meta.fingerprint == fingerprint {
-                return Ok((ck(meta.seq), Some(net)));
+                return Ok((ck(Some(meta.seq)), Some(net)));
             }
         }
         sbm_journal::ensure_dir(dir)?;
-        write_aig_snapshot(&state, input, fingerprint, 0)?;
-        Ok((ck(0), None))
+        Ok((ck(None), None))
     }
 
-    /// Persists `net` (cleaned) as the state after `seq` completed steps.
-    /// Best-effort: the first failure is remembered and surfaced as
-    /// [`PipelineReport::checkpoint_error`], later writes are skipped.
-    fn save(&self, net: &Aig, seq: u64) {
+    /// Persists `net` (cleaned) as the state after `seq` completed steps
+    /// and returns whether it landed. Best-effort: the first failure is
+    /// remembered and surfaced as [`PipelineReport::checkpoint_error`],
+    /// later writes are skipped.
+    fn save(&self, net: &Aig, seq: u64) -> bool {
         let mut error = self.error.borrow_mut();
         if error.is_some() {
-            return;
+            return false;
         }
-        if let Err(e) = write_aig_snapshot(
+        match write_aig_snapshot(
             &self.dir.join(SCRIPT_STATE_FILE),
             net,
             self.fingerprint,
             seq,
         ) {
-            *error = Some(e.to_string());
-        } else {
-            self.saved.set(true);
+            Ok(()) => {
+                self.persisted.set(Some(seq));
+                true
+            }
+            Err(e) => {
+                *error = Some(e.to_string());
+                false
+            }
         }
     }
 }
 
-/// Runs one script step under the optional checkpoint regime: steps
-/// already covered by the loaded snapshot are skipped (their effect is
-/// baked into the starting network), freshly completed steps are
-/// persisted on the configured cadence. `f` returns a cleaned network
-/// (see [`run_unit`]), so the run continues from exactly the network a
-/// snapshot reloads as. Without checkpointing this is exactly `f(cur)`.
+/// Runs one script step under the optional checkpoint regime (see
+/// [`ScriptCkpt`] for the save rule): steps already covered by the
+/// loaded snapshot are skipped (their effect is baked into the starting
+/// network), a clean step is persisted on the configured cadence, and a
+/// step that ends with the budget expired parks the run at its input.
+/// `f` returns a cleaned network (see [`run_unit`]), so the run
+/// continues from exactly the network a snapshot reloads as. Without
+/// checkpointing this is exactly `f(cur)`.
 fn checkpointed(cur: Aig, ctx: &StepCtx<'_>, f: impl FnOnce(Aig) -> Aig) -> Aig {
     let Some(ck) = &ctx.ckpt else {
         return f(cur);
@@ -215,16 +231,22 @@ fn checkpointed(cur: Aig, ctx: &StepCtx<'_>, f: impl FnOnce(Aig) -> Aig) -> Aig 
     if step_no <= ck.resume_from {
         return cur;
     }
+    // A budget stop inside this step parks the run at its input: keep a
+    // copy unless the snapshot on disk already holds it.
+    let input = (ck.clean.get() && ck.persisted.get() != Some(step_no - 1)).then(|| cur.clone());
     let next = f(cur);
     if ck.clean.get() {
         if ctx.budget.check().is_err() {
             // The budget expired somewhere inside this step; its output
             // may be a timing-degraded network. Keep it for this run's
-            // result but never record it — resume re-runs from the last
-            // clean snapshot.
+            // result but never record it — record the step's input, the
+            // last clean network, and resume re-runs the step from there.
             ck.clean.set(false);
-        } else if (step_no as usize).is_multiple_of(ck.every.max(1)) {
-            ck.save(&next, step_no);
+            if let Some(input) = input {
+                ck.save(&input, step_no - 1);
+            }
+        } else if (step_no as usize).is_multiple_of(ck.every) && ck.save(&next, step_no) {
+            ck.saved.set(true);
         }
     }
     next
@@ -444,14 +466,19 @@ pub struct SbmOptions {
     /// injected into the windowed steps' per-window engine invocations.
     pub fault_plan: Option<FaultPlan>,
     /// Directory for step-grained crash-safe checkpoints (`None` = off).
-    /// When set, the script persists the network after completed steps,
-    /// and a later run on the same input under the same results-affecting
-    /// options picks up from the last recorded step (see
-    /// [`script_fingerprint`]); any other snapshot there is overwritten.
+    /// When set, the script persists the network after completed steps
+    /// on the cadence of [`SbmOptions::checkpoint_every`], and at a budget
+    /// stop. A later run on the same input under the same
+    /// results-affecting options picks up from the last recorded step
+    /// (see [`script_fingerprint`]); any other snapshot there is
+    /// overwritten by the run's first save.
     pub checkpoint_dir: Option<PathBuf>,
     /// Snapshot cadence in script steps: `1` (the default) persists after
     /// every step, larger values amortize the write at the cost of
-    /// re-running at most that many steps after a crash.
+    /// re-running at most that many steps after a crash, and `usize::MAX`
+    /// asks for no step cadence at all. Whatever the cadence, a run the
+    /// budget stops records its last clean step, so a budget-driven
+    /// caller (the job server) parks at exactly that step.
     pub checkpoint_every: usize,
     /// Step-local simulation patterns (`false`, the default): when
     /// `true`, the simulation service's counterexample pool is reset at
@@ -664,7 +691,8 @@ impl SbmOptionsBuilder {
         self
     }
 
-    /// Snapshot cadence in script steps (must be at least 1).
+    /// Snapshot cadence in script steps (must be at least 1;
+    /// `usize::MAX` records only budget stops).
     #[must_use]
     pub fn checkpoint_every(mut self, every: usize) -> Self {
         self.options.checkpoint_every = every;
@@ -744,12 +772,13 @@ pub fn sbm_script_report(aig: &Aig, options: &SbmOptions) -> Optimized<PipelineR
 /// with a checkpoint-save observer. This is the job-server entry point:
 /// the caller keeps a handle on the budget, so it can preempt the run
 /// cooperatively ([`Budget::cancel`]) or bound it with a slice
-/// sub-budget ([`Budget::child`]) while the script persists checkpoints
-/// as usual — a preempted run is parked, not lost, and the next call
-/// resumes it. `sink` is fired after every step whose snapshot was
-/// persisted, with the report accumulated up to exactly that step (see
-/// [`ReportSink`]); without a configured [`SbmOptions::checkpoint_dir`]
-/// it never fires, and neither does it on a pure replay.
+/// sub-budget ([`Budget::child`]): a run that returns with the budget
+/// expired has recorded its last clean step, so it is parked, not lost,
+/// and the next call resumes it. `sink` is fired after every step whose
+/// cadence snapshot was persisted, with the report accumulated up to
+/// exactly that step (see [`ReportSink`]); without a configured
+/// [`SbmOptions::checkpoint_dir`] it never fires, and neither does it on
+/// a pure replay.
 pub fn sbm_script_budgeted_observed(
     aig: &Aig,
     options: &SbmOptions,
@@ -851,7 +880,8 @@ fn script_body(
     // equivalence checks) so the report measures only this script.
     let _ = crate::bdd_bridge::drain_bdd_tally();
     let _ = sbm_sat::drain_sat_tally();
-    // A fresh checkpointed run persists the cleaned input as step 0; a
+    // A fresh checkpointed run starts from the cleaned input, which it
+    // records only if the budget stops it before its first step ends; a
     // resumed one starts from the loaded snapshot instead (its network
     // already includes the effect of every skipped step).
     let cleaned = aig.cleanup();
@@ -903,13 +933,6 @@ fn script_body(
             bank_tallies(&mut report, &ctx);
         }
     }
-    // Whether this run executed at least one step beyond the loaded
-    // snapshot (a resumed run that trips before its first live step —
-    // or skips everything — does no new work).
-    let ran_new_steps = ctx
-        .ckpt
-        .as_ref()
-        .is_none_or(|ck| ck.seen.get() > ck.resume_from);
     // Final cleanup, unconditional: `cleanup` is idempotent (the arena
     // core renumbers canonically), so re-cleaning a reloaded snapshot or
     // a step output is a byte-identical no-op and resume
@@ -926,16 +949,20 @@ fn script_body(
         }
     }
     if let Some(ck) = &ctx.ckpt {
-        // Final checkpoint: when every executed step completed cleanly
-        // (no mid-step budget expiry), persist the finished network so a
-        // subsequent resume is a pure replay. Otherwise the last cadence
-        // snapshot stands and resume re-runs from there. A run that did
-        // no new work must not save: its `seen` is at or below the
-        // loaded snapshot's seq, and overwriting at a lower seq would
-        // regress the checkpoint and make the next resume replay steps
-        // onto an already-optimized network.
-        if ck.clean.get() && ran_new_steps {
-            ck.save(&result, ck.seen.get());
+        // A run that returns with its budget expired leaves its last
+        // clean network on disk for the caller to park: a stop between
+        // iterations, or after the last step, is recorded here, as late
+        // as possible (a stop inside a step was recorded by
+        // `checkpointed`). `cur` is that network, already cleaned. A run
+        // stopped before reaching its loaded snapshot's step records
+        // nothing — that would regress the checkpoint.
+        let seen = ck.seen.get();
+        if ck.clean.get()
+            && seen >= ck.resume_from
+            && ck.persisted.get() != Some(seen)
+            && ctx.budget.check().is_err()
+        {
+            ck.save(&cur, seen);
         }
         if report.checkpoint_error.is_none() {
             report.checkpoint_error = ck.error.borrow_mut().take();
@@ -1143,74 +1170,149 @@ mod tests {
 
     #[test]
     fn budgeted_canonical_run_parks_and_resumes_byte_identically() {
+        let states = step_states(&benchmark_aig());
         for threads in [1, 2, 4] {
-            park_and_resume_byte_identically(threads);
+            for every in [1, usize::MAX] {
+                park_and_resume_byte_identically(threads, every, &states);
+            }
         }
     }
 
-    /// The job-server execution model: a run under a cancellable slice
-    /// budget is preempted at an arbitrary point, parked as its last
-    /// clean checkpoint, and later resumed under a fresh budget. With
-    /// canonical_steps on, the resumed run must converge on a result
-    /// byte-identical to an uninterrupted run of the same options.
-    fn park_and_resume_byte_identically(threads: usize) {
-        let tmp = |tag: &str| {
-            let dir = std::env::temp_dir().join(format!(
-                "sbm-script-{tag}-t{threads}-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            dir
+    /// The cleaned network after each step of a canonical one-iteration
+    /// run of `aig`: entry `k` is what a snapshot at `seq = k` holds, as
+    /// AIGER text (entry 0 is the cleaned input).
+    fn step_states(aig: &Aig) -> Vec<String> {
+        let dir = tmp_dir("states");
+        let options = SbmOptions::builder()
+            .iterations(1)
+            .checkpoint_dir(Some(dir.clone()))
+            .canonical_steps(true)
+            .build()
+            .expect("valid configuration");
+        let states = std::sync::Mutex::new(vec![sbm_aig::aiger::write(&aig.cleanup())]);
+        let record = |_: &PipelineReport| {
+            let (net, meta) = read_aig_snapshot(&dir.join(SCRIPT_STATE_FILE)).expect("snapshot");
+            let mut states = states.lock().expect("states lock");
+            assert_eq!(meta.seq as usize, states.len());
+            states.push(sbm_aig::aiger::write(&net));
         };
-        let dir = tmp("park");
-        let ref_dir = tmp("parkref");
-        let aig = benchmark_aig();
-        let mk = |d: &Path| {
-            SbmOptions::builder()
-                .iterations(1)
-                .num_threads(threads)
-                .checkpoint_dir(Some(d.to_path_buf()))
-                .canonical_steps(true)
-                .build()
-                .expect("valid configuration")
-        };
-        let reference = sbm_script_report(&aig, &mk(&ref_dir));
-        let ref_text = sbm_aig::aiger::write(&reference.aig);
+        sbm_script_budgeted_observed(aig, &options, &Budget::unlimited(), ReportSink(&record));
+        let _ = std::fs::remove_dir_all(&dir);
+        states.into_inner().expect("states lock")
+    }
 
-        // Slice 1: preempt mid-run from another thread. Whatever step the
-        // cancel lands in, that step is never persisted (clean=false), so
-        // the checkpoint holds only fully completed, cleaned steps.
-        let options = mk(&dir);
-        let slice = Budget::cancellable();
-        let canceller = slice.clone();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(15));
-            canceller.cancel();
-        });
-        let parked = sbm_script_budgeted_observed(&aig, &options, &slice, ReportSink(&|_| {}));
-        handle.join().expect("canceller");
-        // The preempted result may be degraded; the server discards it.
-        drop(parked);
+    /// The job-server execution model: a run under a slice budget is
+    /// stopped at an arbitrary point, parked at its last clean step, and
+    /// later resumed under a fresh budget. With canonical_steps on, the
+    /// parked snapshot holds exactly the network of the steps completed
+    /// cleanly, and the resumed run converges on a result byte-identical
+    /// to an uninterrupted run — whatever the snapshot cadence `every`.
+    fn park_and_resume_byte_identically(threads: usize, every: usize, states: &[String]) {
+        let dir = tmp_dir(&format!("park-t{threads}-e{}", every.min(2)));
+        let aig = benchmark_aig();
+        let options = SbmOptions::builder()
+            .iterations(1)
+            .num_threads(threads)
+            .checkpoint_dir(Some(dir.clone()))
+            .checkpoint_every(every)
+            .canonical_steps(true)
+            .build()
+            .expect("valid configuration");
+        let label = format!("threads {threads}, every {every}");
+
+        // Slice 1: a deadline, halved until it stops the run. Whatever
+        // step the stop lands in, that step is never recorded: the run
+        // parks at the last step it completed cleanly.
+        let mut deadline = Duration::from_millis(16);
+        loop {
+            let slice = Budget::with_deadline(deadline);
+            let parked = sbm_script_budgeted_observed(&aig, &options, &slice, ReportSink(&|_| {}));
+            assert_eq!(parked.stats.checkpoint_error, None, "{label}");
+            if slice.check().is_err() {
+                break;
+            }
+            // Finished within the deadline: start over, with less time.
+            let _ = std::fs::remove_dir_all(&dir);
+            deadline /= 2;
+        }
+        let (net, meta) =
+            read_aig_snapshot(&dir.join(SCRIPT_STATE_FILE)).expect("a stopped run parks");
+        let parked_at = meta.seq as usize;
+        assert_eq!(
+            sbm_aig::aiger::write(&net),
+            states[parked_at],
+            "{label}: parked at step {parked_at}"
+        );
 
         // Slice 2: resume with an open-ended budget and run to the end.
+        let reference = &states[states.len() - 1];
         let resumed = sbm_script_report(&aig, &options);
-        assert!(resumed.stats.resume.is_some(), "threads {threads}");
-        assert_eq!(
-            sbm_aig::aiger::write(&resumed.aig),
-            ref_text,
-            "threads {threads}"
-        );
+        let skipped = |run: &Optimized<PipelineReport>| run.stats.resume.map(|r| r.steps_skipped);
+        assert_eq!(skipped(&resumed), Some(parked_at), "{label}");
+        assert_eq!(&sbm_aig::aiger::write(&resumed.aig), reference, "{label}");
 
-        // A third resume replays the finished snapshot, still identical.
-        let replayed = sbm_script_report(&aig, &options);
-        assert_eq!(replayed.stats.resume.expect("summary").steps_skipped, 8);
-        assert_eq!(
-            sbm_aig::aiger::write(&replayed.aig),
-            ref_text,
-            "threads {threads}"
-        );
+        // Once more, still identical: with a step cadence the finished
+        // run's last snapshot makes it a pure replay; without one, the
+        // park is still the last record.
+        let again = sbm_script_report(&aig, &options);
+        let expected = if every == 1 {
+            states.len() - 1
+        } else {
+            parked_at
+        };
+        assert_eq!(skipped(&again), Some(expected), "{label}");
+        assert_eq!(&sbm_aig::aiger::write(&again.aig), reference, "{label}");
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&ref_dir);
+    }
+
+    #[test]
+    fn a_stopped_run_records_where_it_stands() {
+        let dir = tmp_dir("stopped");
+        let state = dir.join(SCRIPT_STATE_FILE);
+        let options = SbmOptions::builder()
+            .iterations(1)
+            .checkpoint_dir(Some(dir.clone()))
+            .checkpoint_every(usize::MAX)
+            .canonical_steps(true)
+            .build()
+            .expect("valid configuration");
+        let run = |aig: &Aig, budget: &Budget| {
+            let run = sbm_script_budgeted_observed(aig, &options, budget, ReportSink(&|_| {}));
+            assert_eq!(run.stats.checkpoint_error, None);
+            run
+        };
+        // Finished within its budget, a run without a step cadence writes
+        // no snapshot at all: the caller holds both input and result.
+        let aig = benchmark_aig();
+        run(&aig, &Budget::unlimited());
+        assert!(!state.exists());
+
+        // Stopped before any step, or 1 ms into the first step of reduced
+        // priority (the baseline script over every window, far longer), a
+        // fresh run records its cleaned input as step 0.
+        let expired = Budget::cancellable();
+        expired.cancel();
+        let priority = sbm_epfl::generate("priority", sbm_epfl::Scale::Reduced).expect("design");
+        for (input, deadline) in [(&aig, None), (&priority, Some(Duration::from_millis(1)))] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let budget = deadline.map_or_else(|| expired.clone(), Budget::with_deadline);
+            run(input, &budget);
+            let (net, meta) = read_aig_snapshot(&state).expect("a stopped run parks");
+            assert_eq!(meta.seq, 0);
+            assert_eq!(
+                sbm_aig::aiger::write(&net),
+                sbm_aig::aiger::write(&input.cleanup())
+            );
+        }
+
+        // Stopped before it reaches its loaded snapshot's step, a resumed
+        // run leaves the snapshot as it was rather than regress it.
+        let (net, meta) = read_aig_snapshot(&state).expect("snapshot");
+        write_aig_snapshot(&state, &net, meta.fingerprint, 5).expect("a snapshot at step 5");
+        let resumed = run(&priority, &expired);
+        assert_eq!(resumed.stats.resume.map(|r| r.steps_skipped), Some(5));
+        assert_eq!(read_aig_snapshot(&state).expect("snapshot").1.seq, 5);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1243,6 +1345,8 @@ mod tests {
             ReportSink(&observer),
         );
         assert_eq!(run.stats.checkpoint_error, None);
+        let (_, meta) = read_aig_snapshot(&dir.join(SCRIPT_STATE_FILE)).expect("snapshot");
+        assert_eq!(meta.seq, 8, "the last cadence snapshot is the finished run");
         {
             let fired = fired.lock().expect("observer lock");
             assert_eq!(fired.len(), 8, "one iteration = 8 script steps");

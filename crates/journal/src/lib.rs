@@ -9,7 +9,8 @@
 //! * a **versioned, CRC32-checked binary snapshot** format for [`Aig`]
 //!   networks with atomic write-temp-then-rename semantics
 //!   ([`snapshot`]); `sbm-core`'s script writes one to
-//!   [`SCRIPT_STATE_FILE`] after each step and resumes from it,
+//!   [`SCRIPT_STATE_FILE`] on its step cadence and when its budget
+//!   stops it, and resumes from it,
 //! * the **resume bookkeeping** type [`ResumeSummary`] surfaced on
 //!   `sbm-core`'s `PipelineReport`.
 //!

@@ -18,20 +18,26 @@
 //! # Preemption & durability
 //!
 //! A worker runs a job for one *slice* under a child [`Budget`]
-//! ([`Budget::child`]) of the job's own deadline budget. A job whose
-//! slice expires is *parked*: the script's own step checkpoint (written
-//! under the job's `ckpt/` directory, every step, in canonical mode)
-//! is its durable state, the slice's partial report is absorbed into a
-//! durable running total, and the job re-enters the queue to resume —
+//! ([`Budget::child`]) of the job's own deadline budget. A job's
+//! progress becomes durable at the slice boundary, not after every
+//! step. A job whose slice expires is *parked*: the script records the
+//! last step it completed cleanly under the job's `ckpt/` directory,
+//! the slice's report is absorbed into a durable running total
+//! (`report.partial`), and the job re-enters the queue to resume —
 //! never to restart. Slices escalate geometrically with each park so a
 //! job always outgrows its slice eventually. Because every job runs the
 //! serial, canonical-steps pipeline, a park/resume chain reproduces the
-//! uninterrupted run bit for bit.
+//! uninterrupted run bit for bit. A job that finishes in one slice makes
+//! three durable writes: `input.snap` and `job.meta` on admission,
+//! `result.bin` at the end; each park adds a snapshot, `report.partial`
+//! and a `job.meta` rewrite.
 //!
 //! On startup the server rescans the store root and re-admits every
 //! durably admitted job that has neither a result nor a cancel marker —
 //! a SIGKILL mid-run loses nothing and duplicates nothing (SUBMIT is
-//! durable *before* it is acknowledged, and idempotent by job key).
+//! durable *before* it is acknowledged, and idempotent by job key). A
+//! re-admitted job re-runs from its last park (at most one slice of
+//! work), with its counters standing at that same park.
 //!
 //! # The in-memory table
 //!
@@ -746,51 +752,40 @@ fn run_slice(shared: &Shared, key: &str, job_budget: &Budget, slice: &Budget) ->
     };
     options.checkpoint_dir = Some(shared.store.ckpt_dir(key));
 
-    // Counter durability: the slice's in-memory tallies would die with a
-    // hard kill, so the durable running total (the partial report) must
-    // advance in lockstep with the script checkpoint. The prior slices'
-    // total is folded in up front, and the checkpoint-save observer
-    // rewrites the partial at every snapshot — after a SIGKILL the
-    // stored counters cover exactly the steps the resumed run will skip.
-    let base = shared
-        .store
-        .read_partial_report(key)
-        .ok()
-        .flatten()
-        .and_then(|json| RunReport::from_json(&json).ok());
-    let persist = |partial: &sbm_core::pipeline::PipelineReport| {
-        let mut total = partial.run_report();
-        if let Some(prior) = &base {
-            total.absorb(prior);
-        }
-        let _ = shared.store.write_partial_report(key, &total.to_json());
-    };
-
     // The script resumes from the parked checkpoint when one matches
-    // this job's input and options, and starts fresh (overwriting it)
-    // otherwise; panics that escape the pipeline's own per-engine
-    // isolation are caught here.
+    // this job's input and options, and starts fresh otherwise; panics
+    // that escape the pipeline's own per-engine isolation are caught
+    // here. No report sink: the job's counters become durable with its
+    // progress, at a park (`settle_slice`) or in the result.
     let run = catch_unwind(AssertUnwindSafe(|| {
-        sbm_script_budgeted_observed(&input, &options, slice, ReportSink(&persist))
+        sbm_script_budgeted_observed(&input, &options, slice, ReportSink(&|_| {}))
     }));
     let out = match run {
         Ok(out) => out,
         Err(panic) => return SliceOutcome::Panicked(panic_message(&panic)),
     };
-    let resumed = out.stats.resume.is_some();
-    // Reports leave run_slice pre-composed with the prior slices' total,
-    // so settle/compose never re-read the partial (the observer above
-    // may have overwritten it mid-slice — re-absorbing would double
-    // count).
-    let mut report = out.stats.run_report();
-    if let Some(prior) = &base {
-        report.absorb(prior);
-    }
-    if job_budget.check().is_err() {
+    // Read the budgets first thing: the script recorded its last clean
+    // step if its budget had expired when it last looked, just before
+    // returning, so the two views agree but for that instant.
+    let (job_tripped, slice_tripped) = (job_budget.check().is_err(), slice.check().is_err());
+    if job_tripped {
         // Deadline or CANCEL — either way the whole job is over.
         return SliceOutcome::JobBudgetTripped;
     }
-    if slice.check().is_err() {
+    let resumed = out.stats.resume.is_some();
+    // The running total of every slice so far: the prior slices' total
+    // is the partial report of the last park.
+    let mut report = out.stats.run_report();
+    if let Some(prior) = shared
+        .store
+        .read_partial_report(key)
+        .ok()
+        .flatten()
+        .and_then(|json| RunReport::from_json(&json).ok())
+    {
+        report.absorb(&prior);
+    }
+    if slice_tripped {
         return SliceOutcome::Preempted { report, resumed };
     }
     SliceOutcome::Finished {
@@ -849,9 +844,8 @@ fn settle_slice(shared: &Shared, key: &str, outcome: SliceOutcome) {
         }
         SliceOutcome::Preempted { report, resumed: _ } => {
             // Replace the durable running total: `report` is already
-            // composed with the prior slices' counters (run_slice folds
-            // them in before the slice starts), so it supersedes both
-            // the old total and any mid-slice observer write.
+            // composed with the prior slices' counters, so it stands at
+            // this park, as the script's snapshot does.
             let _ = shared.store.write_partial_report(key, &report.to_json());
             (JobState::Parked, String::new(), true)
         }
@@ -878,22 +872,22 @@ fn settle_slice(shared: &Shared, key: &str, outcome: SliceOutcome) {
 
     let (new_state, detail, requeue) = transition;
     let mut state = lock(&shared.state);
-    // Persist the counter mutations (best-effort: a failed meta write
-    // costs counters, never correctness).
-    if let Some(entry) = state.jobs.get_mut(key) {
+    if new_state == JobState::Done {
+        // The result is durable, and its report carries the counters:
+        // the store answers for the job from now on, and the table
+        // keeps only what the store cannot say.
+        state.jobs.remove(key);
+    } else if let Some(entry) = state.jobs.get_mut(key) {
         entry.state = new_state;
         entry.detail = detail;
+        // Persist the counter mutations (best-effort: a failed meta
+        // write costs counters, never correctness).
         let _ = shared.store.write_meta(&entry.meta);
         if requeue {
             entry.queued = Some(Timer::start());
             let client = entry.meta.client.clone();
             state.enqueue(&client, key.to_string());
         }
-    }
-    if new_state == JobState::Done {
-        // The result is durable: the store answers for the job from
-        // now on, and the table keeps only what the store cannot say.
-        state.jobs.remove(key);
     }
     drop(state);
     shared.work_ready.notify_all();

@@ -2,12 +2,13 @@
 //! [`SbmOptions`], pinned to the server's determinism contract.
 //!
 //! Every server job runs with `num_threads = 1`, `canonical_steps`
-//! on, a checkpoint after every step, and no internal deadline (time
-//! control is the scheduler's [`sbm_budget::Budget`] slice, not the
-//! options'). Under that contract a job preempted at any step boundary
-//! resumes bit-identically, and its final network is byte-identical to
-//! a one-shot serial run with the same options — the property the soak
-//! test asserts.
+//! on, no step cadence for its checkpoint, and no internal deadline
+//! (time control is the scheduler's [`sbm_budget::Budget`] slice, not
+//! the options'). The script then records a job only when a slice stops
+//! it, at the last step it completed cleanly. Under that contract a job
+//! parked at any step resumes bit-identically, and its final network is
+//! byte-identical to a one-shot serial run with the same options — the
+//! property the soak test asserts.
 
 use std::time::Duration;
 
@@ -73,7 +74,9 @@ pub fn job_sbm_options(wire: &JobOptions) -> Result<SbmOptions, JobOptionsError>
         // enforced by the server, never by the script.
         .deadline(None)
         .canonical_steps(true)
-        .checkpoint_every(1)
+        // Durable progress is the slice's business: the script records a
+        // job when a slice stops it, never on a step cadence.
+        .checkpoint_every(usize::MAX)
         .build()
         .map_err(JobOptionsError::Invalid)
 }
@@ -99,7 +102,7 @@ mod tests {
         assert_eq!(o.iterations, 1);
         assert!(o.sim_filter);
         assert!(o.canonical_steps);
-        assert_eq!(o.checkpoint_every, 1);
+        assert_eq!(o.checkpoint_every, usize::MAX);
         assert_eq!(o.check_level, CheckLevel::Boundaries);
         assert_eq!(o.deadline, None);
         assert!(o.fault_plan.is_none());

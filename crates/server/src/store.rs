@@ -5,13 +5,14 @@
 //!
 //! Layout of `<root>/<fnv64(key) as 16 hex digits>/`:
 //!
-//! | file        | contents                                               |
-//! |-------------|--------------------------------------------------------|
-//! | `input.snap`| the submitted network, as an `sbm-journal` AIG snapshot|
-//! | `job.meta`  | client, key, wire options, persisted lifecycle counters|
-//! | `ckpt/`     | the script's own step-grained checkpoints              |
-//! | `result.bin`| report JSON + optimized AIGER, once the job finishes   |
-//! | `cancelled` | empty marker: the job was cancelled                    |
+//! | file             | contents                                                |
+//! |------------------|---------------------------------------------------------|
+//! | `input.snap`     | the submitted network, as an `sbm-journal` AIG snapshot |
+//! | `job.meta`       | client, key, wire options, persisted lifecycle counters |
+//! | `ckpt/`          | the script's snapshot of the job's last park            |
+//! | `report.partial` | the running report total, rewritten at each park        |
+//! | `result.bin`     | report JSON + optimized AIGER, once the job finishes    |
+//! | `cancelled`      | empty marker: the job was cancelled                     |
 //!
 //! `job.meta` is written **last** on admission: its presence is the
 //! commit point that makes a job durable, and the server replies

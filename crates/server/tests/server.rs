@@ -4,14 +4,17 @@
 //! In-process integration tests of the job server: one `Server` plus
 //! protocol clients over loopback TCP.
 
+use std::path::Path;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use sbm_core::script::sbm_script_report;
+use sbm_journal::SCRIPT_STATE_FILE;
 use sbm_metrics::RunReport;
 use sbm_server::corpus::corpus_aiger;
 use sbm_server::{
-    job_sbm_options, Client, JobOptions, JobState, Server, ServerConfig, SubmitOutcome,
+    job_sbm_options, Client, JobMeta, JobOptions, JobState, PersistedCounters, Server,
+    ServerConfig, Store, SubmitOutcome,
 };
 
 /// Starts a server on an ephemeral port; returns its address and the
@@ -138,8 +141,9 @@ fn resubmits_are_idempotent_and_unknown_keys_report_unknown() {
 fn tiny_slice_parks_resumes_and_still_matches_reference() {
     // A 1 ms slice cannot fit the whole script: the job must park at
     // least once, resume, and still produce the exact serial result.
+    let root = tmp_root("park");
     let addr = start_server(ServerConfig {
-        root: tmp_root("park"),
+        root: root.clone(),
         workers: 1,
         slice: Duration::from_millis(1),
         ..ServerConfig::default()
@@ -169,6 +173,132 @@ fn tiny_slice_parks_resumes_and_still_matches_reference() {
         serial_reference(index, &wire),
         "preempted job diverged from the serial reference"
     );
+    // Each park left its running total and a snapshot of the last clean
+    // step behind; the job.meta on disk was last written at a park.
+    let store = Store::open(&root).expect("store");
+    assert!(store
+        .read_partial_report("park-1")
+        .expect("partial")
+        .is_some());
+    let (_, snapshot) =
+        sbm_journal::read_aig_snapshot(&store.ckpt_dir("park-1").join(SCRIPT_STATE_FILE))
+            .expect("a parked job has a snapshot");
+    assert!(
+        snapshot.seq < 8 * u64::from(wire.iterations),
+        "{snapshot:?}"
+    );
+    assert_eq!(
+        store.read_meta("park-1").expect("meta").counters.parks,
+        report.server.parks
+    );
+    let _ = client.shutdown(false);
+}
+
+/// Every file under `dir`, as paths relative to it, sorted.
+fn files_under(dir: &Path) -> Vec<String> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("read dir") {
+        let path = entry.expect("dir entry").path();
+        let name = path
+            .file_name()
+            .expect("name")
+            .to_string_lossy()
+            .to_string();
+        if path.is_dir() {
+            files.extend(
+                files_under(&path)
+                    .into_iter()
+                    .map(|f| format!("{name}/{f}")),
+            );
+        } else {
+            files.push(name);
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn a_one_slice_job_writes_its_admission_and_its_result_only() {
+    // Durability is bought at the slice boundary: a job that finishes
+    // within its first slice never parks, so it leaves no snapshot and
+    // no running total, and its job.meta is still the admission record.
+    let root = tmp_root("one-slice");
+    let addr = start_server(ServerConfig {
+        root: root.clone(),
+        workers: 1,
+        slice: Duration::from_secs(60),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    let wire = JobOptions::default();
+    client
+        .submit("it", "one-slice", wire, &corpus_aiger(3))
+        .expect("submit");
+    let payload =
+        await_result(&mut client, "one-slice", Duration::from_secs(60)).expect("job settles done");
+    let report = RunReport::from_json(&payload.report_json).expect("strict decode");
+    assert_eq!((report.server.slices, report.server.parks), (1, 0));
+    assert_eq!(payload.aiger, serial_reference(3, &wire));
+
+    let store = Store::open(&root).expect("store");
+    assert_eq!(
+        files_under(&store.job_dir("one-slice")),
+        ["input.snap", "job.meta", "result.bin"]
+    );
+    assert_eq!(
+        store.read_meta("one-slice").expect("meta").counters,
+        PersistedCounters::default()
+    );
+    let _ = client.shutdown(false);
+}
+
+#[test]
+fn a_kill_between_script_and_result_reruns_with_live_counters() {
+    // The worst instant for a SIGKILL: the job's script has finished but
+    // its result is not on disk yet. Its checkpoint then still stands at
+    // its last park (here: none), so the restarted server re-runs it
+    // from there and the counters cover every step of the result.
+    let root = tmp_root("kill-window");
+    let store = Store::open(&root).expect("store");
+    let wire = JobOptions::default();
+    let input = sbm_aig::aiger::parse(&corpus_aiger(4)).expect("parse");
+    let meta = JobMeta {
+        client: "it".to_string(),
+        key: "kill-window".to_string(),
+        options: wire,
+        counters: PersistedCounters::default(),
+    };
+    store.create_job(&meta, &input).expect("admit");
+    let mut options = job_sbm_options(&wire).expect("options");
+    options.checkpoint_dir = Some(store.ckpt_dir("kill-window"));
+    let finished = sbm_script_report(&input, &options);
+    assert_eq!(finished.stats.checkpoint_error, None);
+    assert!(!store
+        .ckpt_dir("kill-window")
+        .join(SCRIPT_STATE_FILE)
+        .exists());
+
+    let addr = start_server(ServerConfig {
+        root: root.clone(),
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    let payload = await_result(&mut client, "kill-window", Duration::from_secs(60))
+        .expect("recovered job settles done");
+    let report = RunReport::from_json(&payload.report_json).expect("strict decode");
+    assert_eq!(report.server.recoveries, 1);
+    assert_eq!(report.resume, None, "nothing to resume: the job re-runs");
+    assert!(report.sim_filter.hits + report.sim_filter.misses > 0);
+    let work = |r: &RunReport| -> Vec<(String, u64, u64)> {
+        r.engines
+            .iter()
+            .map(|e| (e.name.clone(), e.tried, e.accepted))
+            .collect()
+    };
+    assert_eq!(work(&report), work(&finished.stats.run_report()));
+    assert_eq!(payload.aiger, sbm_aig::aiger::write(&finished.aig));
     let _ = client.shutdown(false);
 }
 
