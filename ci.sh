@@ -130,7 +130,8 @@ if [[ $quick -eq 0 ]]; then
     # plus a tight per-script deadline, verifying the flags, the retry
     # ladder and the degraded-run report wiring. The deadline bounds the
     # budgeted phases, so this finishes *faster* than a plain table1 run
-    # (~5 min vs ~8 min); every benchmark must still verify equivalent.
+    # (~3.1 min vs ~3.7 min, release, 2-CPU host); every benchmark must
+    # still verify equivalent.
     echo "==> table1 fault-injection smoke"
     out=$(cargo run -q -p sbm-bench --bin table1 --release -- \
         --fault-seed 1 --fault-rate 0.15 --deadline 5)

@@ -267,7 +267,16 @@ pub(crate) fn boolean_difference_resub_filtered(
     if result.num_ands() <= aig.num_ands() {
         (result, stats)
     } else {
-        (aig.cleanup(), BdiffStats::default())
+        // The pass falls back to its input: its work stands, its
+        // accepted changes do not.
+        (
+            aig.cleanup(),
+            BdiffStats {
+                accepted: 0,
+                diff_reused: 0,
+                ..stats
+            },
+        )
     }
 }
 

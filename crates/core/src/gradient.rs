@@ -9,6 +9,8 @@
 //! exceeds a threshold, and the engine "terminates early if the gain
 //! gradient is 0 over the last k iterations".
 
+use std::collections::HashMap;
+
 use sbm_aig::Aig;
 
 use crate::engine::{self, Engine, EngineCtx, EngineResult};
@@ -125,6 +127,14 @@ impl Move {
     /// counts the BDD node-limit bailouts of the mspf/bdiff moves (always
     /// 0 for algebraic moves), so the gradient engine's ledger covers its
     /// inner invocations.
+    ///
+    /// Within one script step the result is a pure function of `aig`:
+    /// the simulation service serves only committed patterns
+    /// ([`SigService::signatures`](sbm_sim::SigService::signatures)), and
+    /// patterns commit only at step boundaries. The scheduler relies on
+    /// this to skip a move that already gained nothing on an unchanged
+    /// network; the run it skips would only have recorded the same
+    /// witnesses again, which the commit dedups.
     pub fn apply(self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
         self.engine().optimize(aig, ctx)
     }
@@ -200,6 +210,9 @@ pub struct MoveRecord {
     /// BDD node-limit bailouts incurred by the move's inner mspf/bdiff
     /// invocations (always 0 for algebraic moves).
     pub bailouts: u64,
+    /// Tries answered without running the move: it had already gained
+    /// nothing on the same network (counted in `tried` as well).
+    pub skipped: u64,
 }
 
 /// Statistics of a gradient-engine run.
@@ -245,6 +258,9 @@ pub(crate) fn gradient_optimize_filtered(
     let mut cost_budget = options.budget;
     let mut spent = 0u32;
     let mut recent_gains: Vec<usize> = Vec::new();
+    // Moves that gained nothing on `current`, with the bailouts they
+    // incurred (see `Move::apply`); emptied whenever `current` changes.
+    let mut zero_gain: HashMap<Move, u64> = HashMap::new();
     // The cost tier currently unlocked: cheap moves first (paper: "the
     // optimization engine starts by trying unit cost moves").
     let mut unlocked_cost = 1u32;
@@ -288,17 +304,30 @@ pub(crate) fn gradient_optimize_filtered(
             if budget.check().is_err() {
                 break;
             }
-            let EngineResult {
-                aig: result,
-                stats: move_stats,
-            } = mv.apply(&current, ctx);
             spent += mv.cost();
-            let gain = size_before.saturating_sub(result.num_ands());
             let Some((_, rec)) = stats.records.iter_mut().find(|(mm, _)| *mm == mv) else {
                 unreachable!("stats tracks a record for every move");
             };
             rec.tried += 1;
-            rec.bailouts += move_stats.bailouts as u64;
+            if let Some(&bailouts) = zero_gain.get(&mv) {
+                // Charged and counted as before, but not run again.
+                rec.skipped += 1;
+                rec.bailouts += bailouts;
+                if spent >= cost_budget {
+                    break;
+                }
+                continue;
+            }
+            let EngineResult {
+                aig: result,
+                stats: move_stats,
+            } = mv.apply(&current, ctx);
+            let gain = size_before.saturating_sub(result.num_ands());
+            let bailouts = move_stats.bailouts as u64;
+            rec.bailouts += bailouts;
+            if gain == 0 {
+                zero_gain.insert(mv, bailouts);
+            }
             if gain > 0 {
                 rec.succeeded += 1;
                 rec.total_gain += gain as u64;
@@ -318,6 +347,7 @@ pub(crate) fn gradient_optimize_filtered(
         let gain = match best {
             Some((_, result, gain)) => {
                 current = result;
+                zero_gain.clear();
                 gain
             }
             None => 0,
@@ -442,5 +472,74 @@ mod tests {
         let (optimized, stats) = gradient_optimize_impl(&aig, &opts);
         assert_eq!(optimized.num_ands(), 1);
         assert!(stats.spent < 10_000, "engine must not burn the budget");
+    }
+
+    /// `(tried, succeeded, bailouts)` per move, in `all_moves()` order.
+    fn record_counts(stats: &GradientStats) -> Vec<(u64, u64, u64)> {
+        stats
+            .records
+            .iter()
+            .map(|(_, r)| (r.tried, r.succeeded, r.bailouts))
+            .collect()
+    }
+
+    #[test]
+    fn zero_gain_memo_keeps_the_schedule() {
+        // Recorded before the scheduler skipped repeated zero-gain moves:
+        // skipping changes no charge, count or choice.
+        let (_, messy) = gradient_optimize_impl(&messy_aig(), &GradientOptions::default());
+        assert_eq!((messy.spent, messy.iterations), (100, 8));
+        assert!(!messy.early_termination);
+        assert_eq!(
+            record_counts(&messy),
+            [
+                (8, 0, 0),
+                (8, 1, 0),
+                (6, 0, 0),
+                (5, 0, 0),
+                (5, 0, 0),
+                (4, 0, 0),
+                (4, 0, 0),
+                (3, 0, 0),
+                (2, 0, 0),
+                (1, 0, 0),
+                (1, 0, 0),
+            ]
+        );
+
+        let mut flat = Aig::new();
+        let a = flat.add_input();
+        let b = flat.add_input();
+        let f = flat.and(a, b);
+        flat.add_output(f);
+        let opts = GradientOptions {
+            budget: 10_000,
+            k: 5,
+            ..Default::default()
+        };
+        let (_, flat) = gradient_optimize_impl(&flat, &opts);
+        assert_eq!((flat.spent, flat.iterations), (96, 6));
+        assert!(flat.early_termination);
+        assert_eq!(
+            record_counts(&flat),
+            [
+                (6, 0, 0),
+                (6, 0, 0),
+                (6, 0, 0),
+                (5, 0, 0),
+                (5, 0, 0),
+                (4, 0, 0),
+                (4, 0, 0),
+                (3, 0, 0),
+                (2, 0, 0),
+                (1, 0, 0),
+                (1, 0, 0),
+            ]
+        );
+        // Nothing ever changes the flat network, so every try after a
+        // move's first is a skip.
+        for (mv, rec) in &flat.records {
+            assert_eq!(rec.skipped, rec.tried - 1, "{mv:?}");
+        }
     }
 }

@@ -188,7 +188,16 @@ pub(crate) fn hetero_eliminate_kernel_impl(
     if result.num_ands() <= aig.num_ands() {
         (result, stats)
     } else {
-        (aig.cleanup(), HeteroStats::default())
+        // The pass falls back to its input: its work stands, its
+        // accepted changes do not.
+        (
+            aig.cleanup(),
+            HeteroStats {
+                improved: 0,
+                nodes_saved: 0,
+                ..stats
+            },
+        )
     }
 }
 

@@ -333,7 +333,16 @@ pub(crate) fn mspf_optimize_filtered(
     if result.num_ands() <= aig.num_ands() {
         (result, stats)
     } else {
-        (aig.cleanup(), MspfStats::default())
+        // The pass falls back to its input: its work stands, its
+        // accepted changes do not.
+        (
+            aig.cleanup(),
+            MspfStats {
+                replaced: 0,
+                constants: 0,
+                ..stats
+            },
+        )
     }
 }
 

@@ -90,7 +90,15 @@ pub(crate) fn refactor_impl(aig: &Aig, options: &RefactorOptions) -> (Aig, Refac
     if result.num_ands() <= aig.num_ands() {
         (result, stats)
     } else {
-        (aig.cleanup(), RefactorStats::default())
+        // The pass falls back to its input: its work stands, its
+        // accepted changes do not.
+        (
+            aig.cleanup(),
+            RefactorStats {
+                refactored: 0,
+                ..stats
+            },
+        )
     }
 }
 

@@ -154,7 +154,16 @@ pub(crate) fn resub_impl(aig: &Aig, options: &ResubOptions) -> (Aig, ResubStats)
     if result.num_ands() <= aig.num_ands() {
         (result, stats)
     } else {
-        (aig.cleanup(), ResubStats::default())
+        // The pass falls back to its input: its work stands, its
+        // accepted changes do not.
+        (
+            aig.cleanup(),
+            ResubStats {
+                zero_resubs: 0,
+                one_resubs: 0,
+                ..stats
+            },
+        )
     }
 }
 

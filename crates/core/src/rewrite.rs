@@ -6,6 +6,7 @@
 //! polarities), and accept the replacement when it reduces the node count,
 //! taking structural sharing with the existing network into account.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 use sbm_aig::cut::{enumerate_cuts, CutOptions};
@@ -85,12 +86,80 @@ pub(crate) fn cut_mffc_set(
     visited
 }
 
-/// Resynthesizes `tt` over `leaf_lits` into the AIG, picking the better
-/// polarity by factored literal count. Returns the implementing literal,
-/// or `None` when both polarities produce pathologically wide covers
-/// (e.g. parity functions, whose ISOP has `2^(n−1)` cubes) — those cones
-/// are better left to structural methods.
-pub(crate) fn emit_function(aig: &mut Aig, tt: &TruthTable, leaf_lits: &[Lit]) -> Option<Lit> {
+/// The resynthesis [`emit_function`] chooses for one truth table: the
+/// factored form and whether it implements the complement, or `None`
+/// when both covers are over the cube limit.
+type Chosen = Option<(bool, Factored)>;
+
+/// Entries a thread's memo holds before it starts over. One script run
+/// on a reduced EPFL row peaks below 2,000 distinct tables; the cap only
+/// bounds callers that run engines outside a [`MemoScope`].
+const MEMO_CAP: usize = 4096;
+
+/// The calling thread's memo of [`emit_function`]'s choice per truth
+/// table (see [`MemoScope`] for its lifetime).
+#[derive(Default)]
+struct FactorMemo {
+    chosen: HashMap<TruthTable, Chosen>,
+    hits: u64,
+    misses: u64,
+    /// Open [`MemoScope`]s on this thread; only the outermost clears.
+    scopes: usize,
+}
+
+thread_local! {
+    /// One memo per thread, like the BDD manager pool: windowed workers
+    /// are scoped threads, so theirs lasts one pass, and no lock is ever
+    /// taken.
+    static FACTOR_MEMO: RefCell<FactorMemo> = RefCell::new(FactorMemo::default());
+}
+
+/// Scopes the calling thread's [`emit_function`] memo to one run: the
+/// outermost guard empties it when taken and again when dropped
+/// (unwinding included), so no table outlives the run that factored it.
+/// Nested guards leave the memo alone.
+pub(crate) struct MemoScope(());
+
+impl MemoScope {
+    pub(crate) fn enter() -> MemoScope {
+        FACTOR_MEMO.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            if memo.scopes == 0 {
+                memo.chosen.clear();
+            }
+            memo.scopes += 1;
+        });
+        MemoScope(())
+    }
+}
+
+impl Drop for MemoScope {
+    fn drop(&mut self) {
+        let _ = FACTOR_MEMO.try_with(|memo| {
+            if let Ok(mut memo) = memo.try_borrow_mut() {
+                memo.scopes = memo.scopes.saturating_sub(1);
+                if memo.scopes == 0 {
+                    memo.chosen.clear();
+                }
+            }
+        });
+    }
+}
+
+/// The calling thread's memo as `(entries, hits, misses)`; the two
+/// counters accumulate over the thread's lifetime. Hits depend on how
+/// windows fall to threads, so they stay out of every thread-invariance
+/// check.
+#[cfg(test)]
+pub(crate) fn memo_counts() -> (usize, u64, u64) {
+    FACTOR_MEMO.with(|memo| {
+        let memo = memo.borrow();
+        (memo.chosen.len(), memo.hits, memo.misses)
+    })
+}
+
+/// ISOP of both polarities, factored, the smaller one chosen.
+fn choose(tt: &TruthTable) -> Chosen {
     const MAX_CUBES: usize = 64;
     let pos_cover = isop_exact(tt);
     let neg_cover = isop_exact(&!tt);
@@ -100,9 +169,41 @@ pub(crate) fn emit_function(aig: &mut Aig, tt: &TruthTable, leaf_lits: &[Lit]) -
     let pos = factor(&pos_cover);
     let neg = factor(&neg_cover);
     Some(if neg.num_lits() < pos.num_lits() {
-        !emit_factored(aig, &neg, leaf_lits)
+        (true, neg)
     } else {
-        emit_factored(aig, &pos, leaf_lits)
+        (false, pos)
+    })
+}
+
+/// Resynthesizes `tt` over `leaf_lits` into the AIG, picking the better
+/// polarity by factored literal count. Returns the implementing literal,
+/// or `None` when both polarities produce pathologically wide covers
+/// (e.g. parity functions, whose ISOP has `2^(n−1)` cubes) — those cones
+/// are better left to structural methods.
+///
+/// The choice is a pure function of `tt`, so each thread memoizes it
+/// (one ISOP + factoring per table per run, see [`MemoScope`]). Emission
+/// always goes through [`Aig::and`], so strash sharing with `aig` and the
+/// returned literal are exactly what a fresh computation gives.
+pub(crate) fn emit_function(aig: &mut Aig, tt: &TruthTable, leaf_lits: &[Lit]) -> Option<Lit> {
+    let emit = |aig: &mut Aig, chosen: &Chosen| {
+        let (negated, fac) = chosen.as_ref()?;
+        Some(emit_factored(aig, fac, leaf_lits).complement_if(*negated))
+    };
+    FACTOR_MEMO.with(|memo| {
+        let memo = &mut *memo.borrow_mut();
+        if let Some(chosen) = memo.chosen.get(tt) {
+            memo.hits += 1;
+            return emit(aig, chosen);
+        }
+        memo.misses += 1;
+        if memo.chosen.len() >= MEMO_CAP {
+            memo.chosen.clear();
+        }
+        let chosen = choose(tt);
+        let lit = emit(aig, &chosen);
+        memo.chosen.insert(tt.clone(), chosen);
+        lit
     })
 }
 
@@ -189,7 +290,15 @@ pub(crate) fn rewrite_impl(aig: &Aig, options: &RewriteOptions) -> (Aig, Rewrite
     if result.num_ands() <= aig.num_ands() {
         (result, stats)
     } else {
-        (aig.cleanup(), RewriteStats::default())
+        // The pass falls back to its input: its work stands, its
+        // accepted changes do not.
+        (
+            aig.cleanup(),
+            RewriteStats {
+                rewritten: 0,
+                ..stats
+            },
+        )
     }
 }
 
@@ -270,5 +379,134 @@ mod tests {
         aig.add_output(ab);
         let counts = aig.fanout_counts();
         assert_eq!(cut_mffc(&aig, f.node(), &leaves, &counts), 1);
+    }
+
+    #[test]
+    fn a_pass_that_falls_back_keeps_its_work_counters() {
+        // Rewriting this network grows it (5 → 6 ANDs after cleanup), so
+        // the pass returns its input; the cuts it evaluated still count.
+        let mut aig = Aig::new();
+        let a = aig.add_input();
+        let b = aig.add_input();
+        let c = aig.add_input();
+        let d = aig.add_input();
+        let e = aig.add_input();
+        let n6 = aig.and(!a, !d);
+        let n7 = aig.and(!a, !c);
+        let n8 = aig.and(b, !n7);
+        let n9 = aig.and(!a, !n8);
+        let n10 = aig.and(!e, n8);
+        aig.add_output(n10);
+        aig.add_output(!n9);
+        aig.add_output(n6);
+        let (optimized, stats) = rewrite_impl(&aig, &RewriteOptions::default());
+        assert_eq!(
+            sbm_aig::aiger::write(&optimized),
+            sbm_aig::aiger::write(&aig.cleanup())
+        );
+        assert_eq!(stats.rewritten, 0);
+        assert!(stats.cuts_tried > 0, "{stats:?}");
+    }
+
+    /// A network over `n` inputs with some logic already in it, so that
+    /// emission can strash-hit existing nodes.
+    fn seeded_network(n: usize) -> (Aig, Vec<Lit>) {
+        let mut aig = Aig::new();
+        let leaves: Vec<Lit> = (0..n).map(|_| aig.add_input()).collect();
+        let ab = aig.and(leaves[0], leaves[1]);
+        let cd = aig.and(!leaves[2], leaves[3]);
+        let f = aig.or(ab, cd);
+        aig.add_output(f);
+        (aig, leaves)
+    }
+
+    /// Emits `tt` into two clones of `base`, the first call a memo miss
+    /// and the second a hit, and returns the first call's literal after
+    /// checking that both calls emit the same literal and network.
+    fn emit_miss_then_hit(base: &Aig, leaves: &[Lit], tt: &TruthTable) -> Option<Lit> {
+        let (mut first, mut second) = (base.clone(), base.clone());
+        let (_, hits0, misses0) = memo_counts();
+        let miss = emit_function(&mut first, tt, leaves);
+        let (_, hits1, misses1) = memo_counts();
+        let hit = emit_function(&mut second, tt, leaves);
+        let (_, hits2, misses2) = memo_counts();
+        assert_eq!((hits1 - hits0, misses1 - misses0), (0, 1), "{tt:?}");
+        assert_eq!((hits2 - hits1, misses2 - misses1), (1, 0), "{tt:?}");
+        assert_eq!(miss, hit, "{tt:?}");
+        assert_eq!(
+            sbm_aig::aiger::write(&first),
+            sbm_aig::aiger::write(&second),
+            "{tt:?}"
+        );
+        miss
+    }
+
+    #[test]
+    fn memoized_emission_matches_fresh_emission_on_every_4_input_table() {
+        let _scope = MemoScope::enter();
+        let (base, leaves) = seeded_network(4);
+        for bits in 0..=u16::MAX {
+            let tt = TruthTable::from_words(4, vec![u64::from(bits)]);
+            let lit = emit_miss_then_hit(&base, &leaves, &tt);
+            assert!(lit.is_some(), "a 4-input table has at most 8 cubes");
+        }
+    }
+
+    #[test]
+    fn memoized_emission_matches_fresh_emission_on_wide_tables() {
+        let _scope = MemoScope::enter();
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut wide, mut over_limit) = (0, 0);
+        for n in 6..=14 {
+            let (base, leaves) = seeded_network(n);
+            let var = |i: usize| TruthTable::var(n, i);
+            let mut parity = var(0);
+            for i in 1..n {
+                parity = &parity ^ &var(i);
+            }
+            let words = 1usize << (n - 6);
+            let random = TruthTable::from_words(n, (0..words).map(|_| next()).collect());
+            // A few random cubes: a sum of products the cube limit admits.
+            let mut cubes = TruthTable::zero(n);
+            for _ in 0..4 {
+                let mut cube = TruthTable::one(n);
+                for _ in 0..3 {
+                    let i = (next() % n as u64) as usize;
+                    let lit = if next() % 2 == 0 { var(i) } else { !&var(i) };
+                    cube = &cube & &lit;
+                }
+                cubes = &cubes | &cube;
+            }
+            for tt in [parity, random, cubes] {
+                match emit_miss_then_hit(&base, &leaves, &tt) {
+                    Some(_) => wide += 1,
+                    None => over_limit += 1,
+                }
+            }
+        }
+        assert!(
+            wide > 0 && over_limit > 0,
+            "{wide} emitted, {over_limit} over the cube limit"
+        );
+    }
+
+    #[test]
+    fn only_the_outermost_scope_clears_the_memo() {
+        let (mut aig, leaves) = seeded_network(4);
+        let tt = TruthTable::from_words(4, vec![0x8ff8]);
+        let outer = MemoScope::enter();
+        emit_function(&mut aig, &tt, &leaves);
+        let inner = MemoScope::enter();
+        assert_eq!(memo_counts().0, 1, "entering a nested scope keeps the memo");
+        drop(inner);
+        assert_eq!(memo_counts().0, 1, "leaving a nested scope keeps the memo");
+        drop(outer);
+        assert_eq!(memo_counts().0, 0, "leaving the outermost scope empties it");
     }
 }

@@ -38,6 +38,7 @@ use crate::mspf::MspfOptions;
 use crate::pipeline::{pass, PipelineReport};
 use crate::refactor::RefactorOptions;
 use crate::resub::ResubOptions;
+use crate::rewrite::MemoScope;
 
 /// Banks the calling thread's drained BDD/SAT/sim tallies into `report`.
 /// Called after every script step: a later step's attribution boundary
@@ -81,13 +82,13 @@ fn bank_tallies(report: &mut PipelineReport, ctx: &StepCtx<'_>) {
     }
 }
 
-/// Borrowed observer fired right after a step whose cadence snapshot
-/// (see [`SbmOptions::checkpoint_every`]) was persisted, with the
-/// [`PipelineReport`] accumulated so far — which covers exactly the steps
-/// that snapshot covers. Embedders that keep their own durable counters
-/// alongside a step-cadence checkpoint persist them here. A budget stop's
-/// snapshot does not fire it: at that point the report also counts the
-/// tripped step, which the snapshot does not cover.
+/// Borrowed observer fired whenever the run persists a snapshot, with
+/// the [`PipelineReport`] covering exactly the steps that snapshot
+/// covers. A step-cadence snapshot (see [`SbmOptions::checkpoint_every`])
+/// fires it right after its step; a budget stop's snapshot fires it with
+/// the report as it stood before the tripped step, whose partial work a
+/// resumed run repeats. Embedders that keep their own durable counters
+/// alongside the checkpoint persist them here.
 #[derive(Clone, Copy)]
 pub struct ReportSink<'a>(pub &'a (dyn Fn(&PipelineReport) + Sync));
 
@@ -221,10 +222,15 @@ impl ScriptCkpt {
 /// step that ends with the budget expired parks the run at its input.
 /// `f` returns a cleaned network (see [`run_unit`]), so the run
 /// continues from exactly the network a snapshot reloads as. Without
-/// checkpointing this is exactly `f(cur)`.
-fn checkpointed(cur: Aig, ctx: &StepCtx<'_>, f: impl FnOnce(Aig) -> Aig) -> Aig {
+/// checkpointing this is exactly `f(cur, report)`.
+fn checkpointed(
+    cur: Aig,
+    ctx: &StepCtx<'_>,
+    report: &mut PipelineReport,
+    f: impl FnOnce(Aig, &mut PipelineReport) -> Aig,
+) -> Aig {
     let Some(ck) = &ctx.ckpt else {
-        return f(cur);
+        return f(cur, report);
     };
     let step_no = ck.seen.get() + 1;
     ck.seen.set(step_no);
@@ -232,9 +238,11 @@ fn checkpointed(cur: Aig, ctx: &StepCtx<'_>, f: impl FnOnce(Aig) -> Aig) -> Aig 
         return cur;
     }
     // A budget stop inside this step parks the run at its input: keep a
-    // copy unless the snapshot on disk already holds it.
-    let input = (ck.clean.get() && ck.persisted.get() != Some(step_no - 1)).then(|| cur.clone());
-    let next = f(cur);
+    // copy unless the snapshot on disk already holds it, and the report
+    // as it stood then for the sink.
+    let parked = (ck.clean.get() && ck.persisted.get() != Some(step_no - 1))
+        .then(|| (cur.clone(), ctx.report_sink.map(|_| report.clone())));
+    let next = f(cur, report);
     if ck.clean.get() {
         if ctx.budget.check().is_err() {
             // The budget expired somewhere inside this step; its output
@@ -242,8 +250,12 @@ fn checkpointed(cur: Aig, ctx: &StepCtx<'_>, f: impl FnOnce(Aig) -> Aig) -> Aig 
             // result but never record it — record the step's input, the
             // last clean network, and resume re-runs the step from there.
             ck.clean.set(false);
-            if let Some(input) = input {
-                ck.save(&input, step_no - 1);
+            if let Some((input, before)) = parked {
+                if ck.save(&input, step_no - 1) {
+                    if let (Some(sink), Some(before)) = (ctx.report_sink, before) {
+                        (sink.0)(&before);
+                    }
+                }
             }
         } else if (step_no as usize).is_multiple_of(ck.every) && ck.save(&next, step_no) {
             ck.saved.set(true);
@@ -408,6 +420,7 @@ pub fn resyn2rs(aig: &Aig) -> Aig {
 /// methodology the paper uses for "the smallest known AIG" baselines
 /// (Table II footnote: "running resyn2rs until no improvement is seen").
 pub fn resyn2rs_fixpoint(aig: &Aig, max_rounds: usize) -> Aig {
+    let _memo = MemoScope::enter();
     let mut cur = aig.cleanup();
     for _ in 0..max_rounds {
         let next = resyn2rs(&cur);
@@ -774,9 +787,9 @@ pub fn sbm_script_report(aig: &Aig, options: &SbmOptions) -> Optimized<PipelineR
 /// cooperatively ([`Budget::cancel`]) or bound it with a slice
 /// sub-budget ([`Budget::child`]): a run that returns with the budget
 /// expired has recorded its last clean step, so it is parked, not lost,
-/// and the next call resumes it. `sink` is fired after every step whose
-/// cadence snapshot was persisted, with the report accumulated up to
-/// exactly that step (see [`ReportSink`]); without a configured
+/// and the next call resumes it. `sink` is fired with every snapshot the
+/// run persists, with the report covering exactly that snapshot's steps
+/// (see [`ReportSink`]); without a configured
 /// [`SbmOptions::checkpoint_dir`] it never fires, and neither does it on
 /// a pure replay.
 pub fn sbm_script_budgeted_observed(
@@ -861,6 +874,8 @@ fn script_body(
     budget: Budget,
     sink: Option<ReportSink<'_>>,
 ) -> Optimized<PipelineReport> {
+    // Every truth table is factored once per run (see `MemoScope`).
+    let _memo = MemoScope::enter();
     let check = options.check_level;
     let mut report = PipelineReport::default();
 
@@ -927,8 +942,8 @@ fn script_body(
             break;
         }
         for unit in step_table(options, iteration) {
-            cur = checkpointed(cur, &ctx, |cur| {
-                run_unit(cur, &unit, &engine_ctx, &mut report)
+            cur = checkpointed(cur, &ctx, &mut report, |cur, report| {
+                run_unit(cur, &unit, &engine_ctx, report)
             });
             bank_tallies(&mut report, &ctx);
         }
@@ -962,7 +977,9 @@ fn script_body(
             && ck.persisted.get() != Some(seen)
             && ctx.budget.check().is_err()
         {
-            ck.save(&cur, seen);
+            if let (true, Some(sink)) = (ck.save(&cur, seen), ctx.report_sink) {
+                (sink.0)(&report);
+            }
         }
         if report.checkpoint_error.is_none() {
             report.checkpoint_error = ck.error.borrow_mut().take();
@@ -1005,6 +1022,42 @@ mod tests {
         aig.add_output(f);
         aig.add_output(g);
         aig
+    }
+
+    #[test]
+    fn a_run_leaves_the_factored_form_memo_empty() {
+        use crate::rewrite::memo_counts;
+        let priority = sbm_epfl::generate("priority", sbm_epfl::Scale::Reduced).expect("design");
+        let panicking = FaultPlan {
+            seed: 7,
+            panic_rate: 0.3,
+            delay_rate: 0.0,
+            bailout_rate: 0.0,
+            delay: Duration::ZERO,
+        };
+        for fault_plan in [None, Some(panicking)] {
+            let options = SbmOptions::builder()
+                .num_threads(1)
+                .iterations(1)
+                .fault_plan(fault_plan)
+                .build()
+                .expect("valid configuration");
+            let (_, _, misses) = memo_counts();
+            let run = sbm_script_report(&priority, &options);
+            let (entries, _, after) = memo_counts();
+            assert!(after > misses, "the run factored tables on this thread");
+            assert_eq!(entries, 0, "fault plan {fault_plan:?}");
+            let panics: usize = run
+                .stats
+                .fault
+                .per_engine
+                .iter()
+                .map(|(_, c)| c.panics)
+                .sum();
+            assert_eq!(panics > 0, fault_plan.is_some(), "{:?}", run.stats.fault);
+        }
+        resyn2rs_fixpoint(&priority, 2);
+        assert_eq!(memo_counts().0, 0, "resyn2rs_fixpoint");
     }
 
     #[test]

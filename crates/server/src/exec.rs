@@ -68,6 +68,7 @@ use std::thread;
 use std::time::Duration;
 
 use sbm_budget::Budget;
+use sbm_core::pipeline::PipelineReport;
 use sbm_core::script::{sbm_script_budgeted_observed, ReportSink};
 use sbm_metrics::{RunReport, ServerCounters, Timer};
 use sbm_vfs::{ChaosVfs, IoFaultPlan};
@@ -755,10 +756,13 @@ fn run_slice(shared: &Shared, key: &str, job_budget: &Budget, slice: &Budget) ->
     // The script resumes from the parked checkpoint when one matches
     // this job's input and options, and starts fresh otherwise; panics
     // that escape the pipeline's own per-engine isolation are caught
-    // here. No report sink: the job's counters become durable with its
-    // progress, at a park (`settle_slice`) or in the result.
+    // here. The sink keeps the report of the last snapshot the script
+    // recorded: at a park it covers exactly the steps the snapshot
+    // holds, not the partial work of the step the slice stopped in.
+    let recorded: Mutex<Option<RunReport>> = Mutex::new(None);
+    let record = |r: &PipelineReport| *lock(&recorded) = Some(r.run_report());
     let run = catch_unwind(AssertUnwindSafe(|| {
-        sbm_script_budgeted_observed(&input, &options, slice, ReportSink(&|_| {}))
+        sbm_script_budgeted_observed(&input, &options, slice, ReportSink(&record))
     }));
     let out = match run {
         Ok(out) => out,
@@ -774,8 +778,13 @@ fn run_slice(shared: &Shared, key: &str, job_budget: &Budget, slice: &Budget) ->
     }
     let resumed = out.stats.resume.is_some();
     // The running total of every slice so far: the prior slices' total
-    // is the partial report of the last park.
-    let mut report = out.stats.run_report();
+    // is the partial report of the last park. A parked slice contributes
+    // what its snapshot covers (nothing if it recorded none).
+    let mut report = if slice_tripped {
+        lock(&recorded).take().unwrap_or_default()
+    } else {
+        out.stats.run_report()
+    };
     if let Some(prior) = shared
         .store
         .read_partial_report(key)

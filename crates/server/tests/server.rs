@@ -173,6 +173,32 @@ fn tiny_slice_parks_resumes_and_still_matches_reference() {
         serial_reference(index, &wire),
         "preempted job diverged from the serial reference"
     );
+    // Parks neither lose nor repeat work in the counters: each park
+    // records the report of the steps its snapshot holds, so the
+    // resumed job counts exactly what one straight run counts (the
+    // `server` block and `resume` aside).
+    let input = sbm_aig::aiger::parse(&corpus_aiger(index)).expect("parse");
+    let options = job_sbm_options(&wire).expect("options");
+    let straight = sbm_script_report(&input, &options).stats.run_report();
+    let work = |r: &RunReport| {
+        let mut engines: Vec<_> = r
+            .engines
+            .iter()
+            .map(|e| {
+                (
+                    e.name.clone(),
+                    e.windows,
+                    e.tried,
+                    e.accepted,
+                    e.gain,
+                    e.bailouts,
+                )
+            })
+            .collect();
+        engines.sort();
+        (engines, r.windows, r.sat.solves, r.sat.conflicts)
+    };
+    assert_eq!(work(&report), work(&straight));
     // Each park left its running total and a snapshot of the last clean
     // step behind; the job.meta on disk was last written at a park.
     let store = Store::open(&root).expect("store");
