@@ -118,6 +118,15 @@ cargo test -q -p sbm-check
 echo "==> cargo test -p sbm-sat"
 cargo test -q -p sbm-sat
 
+# The engine, script (park/resume, memo) and pipeline unit tests, and
+# the AIG layer's tests (MFFC, cuts, windows, AIGER). The root package's
+# `cargo test` above runs none of them.
+echo "==> cargo test -p sbm-core --lib"
+cargo test -q -p sbm-core --lib
+
+echo "==> cargo test -p sbm-aig"
+cargo test -q -p sbm-aig
+
 # Fault-injection smoke: seeded panics/delays/bailouts across all ten
 # engines must complete, stay equivalent, and ledger exactly. Fixed seeds
 # inside the test keep this deterministic and bounded (sub-second).

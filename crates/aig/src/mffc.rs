@@ -12,6 +12,7 @@ use crate::lit::NodeId;
 
 /// Computes the MFFC of `node` given the network's fanout counts (from
 /// [`Aig::fanout_counts`]). Returns the member node ids, `node` included.
+/// Equal to [`mffc_within`] with no leaves.
 ///
 /// # Example
 ///
@@ -30,6 +31,19 @@ use crate::lit::NodeId;
 /// assert_eq!(mffc::mffc_nodes(&aig, f.node(), &counts).len(), 2);
 /// ```
 pub fn mffc_nodes(aig: &Aig, node: NodeId, fanout_counts: &[u32]) -> Vec<NodeId> {
+    mffc_within(aig, node, &[], fanout_counts)
+}
+
+/// The MFFC of `node` bounded by `leaves`: the nodes freed by
+/// disconnecting `node` from a cut (or window boundary), where no leaf is
+/// ever freed. Returns the member node ids, `node` included, or nothing
+/// when `node` is not an AND gate.
+pub fn mffc_within(
+    aig: &Aig,
+    node: NodeId,
+    leaves: &[NodeId],
+    fanout_counts: &[u32],
+) -> Vec<NodeId> {
     if !aig.is_and(node) {
         return Vec::new();
     }
@@ -42,7 +56,7 @@ pub fn mffc_nodes(aig: &Aig, node: NodeId, fanout_counts: &[u32]) -> Vec<NodeId>
         members.push(id);
         let (a, b) = aig.fanins(id);
         for fanin in [a.node(), b.node()] {
-            if !aig.is_and(fanin) {
+            if !aig.is_and(fanin) || leaves.contains(&fanin) {
                 continue;
             }
             // Saturating: callers may hold slightly stale fanout counts
@@ -128,5 +142,26 @@ mod tests {
         let mf = mffc_nodes(&aig, f.node(), &counts);
         let mg = mffc_nodes(&aig, g.node(), &counts);
         assert!(mf.iter().all(|n| !mg.contains(n)));
+    }
+
+    #[test]
+    fn leaves_bound_the_mffc() {
+        let mut aig = Aig::new();
+        let a = aig.add_input();
+        let b = aig.add_input();
+        let c = aig.add_input();
+        let ab = aig.and(a, b);
+        let f = aig.and(ab, c);
+        aig.add_output(f);
+        let counts = aig.fanout_counts();
+        let leaves = [a.node(), b.node(), c.node()];
+        assert_eq!(mffc_within(&aig, f.node(), &leaves, &counts).len(), 2);
+        // With ab a leaf, only f is freed.
+        let cut = [ab.node(), c.node()];
+        assert_eq!(mffc_within(&aig, f.node(), &cut, &counts), vec![f.node()]);
+        // With ab shared, only f is freed.
+        aig.add_output(ab);
+        let counts = aig.fanout_counts();
+        assert_eq!(mffc_within(&aig, f.node(), &leaves, &counts).len(), 1);
     }
 }

@@ -15,6 +15,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use sbm_aig::mffc::mffc_within;
 use sbm_aig::sim::Signatures;
 use sbm_aig::window::{partition, PartitionOptions};
 use sbm_aig::{Aig, Lit, NodeId};
@@ -23,7 +24,7 @@ use sbm_budget::Budget;
 use sbm_sim::{record_filter_hits, record_filter_misses, SigService};
 
 use crate::bdd_bridge::{bdd_to_aig, pooled_manager, recycle_manager, window_bdds};
-use crate::rewrite::{cut_mffc, cut_mffc_set};
+use crate::engine::EngineStats;
 
 /// Options for Boolean-difference resubstitution.
 #[derive(Debug, Clone, Copy)]
@@ -60,22 +61,6 @@ impl Default for BdiffOptions {
     }
 }
 
-/// Statistics of a resubstitution run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BdiffStats {
-    /// Windows processed.
-    pub windows: usize,
-    /// Candidate pairs evaluated.
-    pub pairs_tried: usize,
-    /// Accepted rewrites `f ← (∂f/∂g) ⊕ g`.
-    pub accepted: usize,
-    /// Rewrites found through the `all_bdds` hashtable (an existing node
-    /// already implements the difference).
-    pub diff_reused: usize,
-    /// BDD bailouts (node limit).
-    pub bailouts: usize,
-}
-
 /// Boolean-difference resubstitution under `budget` (an expired budget
 /// stops the pass with the best network so far), with optional
 /// signature-based pair screening: when `sim` is present, a candidate pair whose
@@ -85,21 +70,23 @@ pub struct BdiffStats {
 /// condition of [`evaluate_pair`]'s saving check, so the accepted
 /// rewrites are unchanged. Bdiff rewrites are exact (`f = (f ⊕ g) ⊕ g`),
 /// so one signature computation stays valid across the whole pass.
+///
+/// `tried` counts the candidate pairs evaluated, `accepted` the rewrites
+/// `f ← (∂f/∂g) ⊕ g`, `bailouts` the BDD node-limit bailouts.
 pub(crate) fn boolean_difference_resub_filtered(
     aig: &Aig,
     options: &BdiffOptions,
     budget: &Budget,
     sim: Option<&SigService>,
-) -> (Aig, BdiffStats) {
+) -> (Aig, EngineStats) {
     let mut work = aig.cleanup();
-    let mut stats = BdiffStats::default();
+    let mut stats = EngineStats::default();
     let parts = partition(&work, &options.partition);
     let sig: Option<Signatures> = sim.map(|svc| svc.signatures(&work));
     for part in &parts {
         if budget.check().is_err() {
             break;
         }
-        stats.windows += 1;
         if part.leaves.is_empty() {
             continue;
         }
@@ -176,7 +163,9 @@ pub(crate) fn boolean_difference_resub_filtered(
             let mut best: Option<Candidate> = None;
             // Freed set of f down to the window leaves, computed once; a
             // pair only needs a correction when g lies inside it.
-            let freed = cut_mffc_set(&work, f, &part.leaves, &fanout_counts);
+            let freed: HashSet<NodeId> = mffc_within(&work, f, &part.leaves, &fanout_counts)
+                .into_iter()
+                .collect();
             for &g in part.nodes.iter().chain(part.leaves.iter()) {
                 if pairs_left == 0 {
                     break;
@@ -211,13 +200,13 @@ pub(crate) fn boolean_difference_resub_filtered(
                     continue;
                 }
                 pairs_left -= 1;
-                stats.pairs_tried += 1;
+                stats.tried += 1;
                 let saving = if freed.contains(&g) {
                     // g would be re-referenced: recompute with g as an
                     // extra boundary (rare).
                     let mut boundary = part.leaves.clone();
                     boundary.push(g);
-                    cut_mffc(&work, f, &boundary, &fanout_counts)
+                    mffc_within(&work, f, &boundary, &fanout_counts).len()
                 } else {
                     freed.len()
                 };
@@ -263,21 +252,7 @@ pub(crate) fn boolean_difference_resub_filtered(
         }
         recycle_manager(mgr);
     }
-    let result = work.cleanup();
-    if result.num_ands() <= aig.num_ands() {
-        (result, stats)
-    } else {
-        // The pass falls back to its input: its work stands, its
-        // accepted changes do not.
-        (
-            aig.cleanup(),
-            BdiffStats {
-                accepted: 0,
-                diff_reused: 0,
-                ..stats
-            },
-        )
-    }
+    (work.cleanup(), stats)
 }
 
 /// A profitable rewrite candidate for a node `f`.
@@ -311,7 +286,7 @@ fn evaluate_pair(
     bf: Bdd,
     bg: Bdd,
     options: &BdiffOptions,
-    stats: &mut BdiffStats,
+    stats: &mut EngineStats,
 ) -> Option<Candidate> {
     let diff = match mgr.xor(bf, bg) {
         Ok(diff) => diff,
@@ -367,7 +342,7 @@ fn apply_candidate(
     leaf_lits: &[Lit],
     f: NodeId,
     candidate: &Candidate,
-    stats: &mut BdiffStats,
+    stats: &mut EngineStats,
 ) -> bool {
     let g_lit = Lit::new(candidate.g, false);
     let nodes_before = work.num_nodes();
@@ -385,9 +360,6 @@ fn apply_candidate(
     }
     if work.replace(f, result).is_ok() {
         stats.accepted += 1;
-        if matches!(candidate.kind, CandidateKind::Reuse(_)) {
-            stats.diff_reused += 1;
-        }
         true
     } else {
         false
@@ -397,6 +369,7 @@ fn apply_candidate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_unbounded, Bdiff, EngineResult};
     use sbm_sat::{EquivalenceOracle, MiterOracle, Verdict};
 
     /// The Fig. 1 flavor of circuit: f and g share most of their logic, so
@@ -423,18 +396,12 @@ mod tests {
     fn rewrites_reconvergent_logic() {
         let aig = reconvergent_pair();
         let before = aig.num_ands();
-        let (optimized, stats) = boolean_difference_resub_filtered(
-            &aig,
-            &BdiffOptions::default(),
-            &Budget::unlimited(),
-            None,
-        );
+        let optimized = run_unbounded(&Bdiff::default(), &aig).aig;
         assert!(optimized.num_ands() <= before, "never worse");
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent
         );
-        assert!(stats.windows >= 1);
     }
 
     #[test]
@@ -456,12 +423,10 @@ mod tests {
         aig.add_output(g2);
         aig.add_output(f2);
         let before = aig.num_ands();
-        let (optimized, stats) = boolean_difference_resub_filtered(
-            &aig,
-            &BdiffOptions::default(),
-            &Budget::unlimited(),
-            None,
-        );
+        let EngineResult {
+            aig: optimized,
+            stats,
+        } = run_unbounded(&Bdiff::default(), &aig);
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent
@@ -472,7 +437,7 @@ mod tests {
             before,
             optimized.num_ands()
         );
-        assert!(stats.pairs_tried > 0);
+        assert!(stats.tried > 0);
     }
 
     #[test]
@@ -545,12 +510,7 @@ mod tests {
                 aig.add_output(out);
             }
             let clean = aig.cleanup();
-            let (optimized, _) = boolean_difference_resub_filtered(
-                &clean,
-                &BdiffOptions::default(),
-                &Budget::unlimited(),
-                None,
-            );
+            let optimized = run_unbounded(&Bdiff::default(), &clean).aig;
             assert!(optimized.num_ands() <= clean.num_ands());
             assert_eq!(
                 MiterOracle::new().check(&clean, &optimized),

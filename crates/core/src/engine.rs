@@ -126,11 +126,12 @@ impl<'a> EngineCtx<'a> {
     }
 }
 
-/// Uniform per-engine statistics (the paper's cost/benefit bookkeeping).
-///
-/// Engines with richer native stats (e.g. [`crate::bdiff::BdiffStats`])
-/// project onto these fields; internal partition counts stay in the
-/// native stats.
+/// Uniform per-engine statistics (the paper's cost/benefit bookkeeping):
+/// the one stats type every pass reports, with one meaning per field
+/// across engines. Each engine's passes fill `tried`, `accepted` and
+/// `bailouts` directly; `engine::timed` adds `gain` and `busy` (and
+/// applies the never-worse rule), and
+/// [`crate::pipeline::pass`] owns `windows`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Windows [`crate::pipeline::pass`] ran the engine on (0 for a
@@ -181,14 +182,17 @@ pub struct Optimized<S> {
 }
 
 /// What an engine pass produces: the optimized AIG (never larger than
-/// the input) plus its uniform stats.
+/// the input, see [`Engine::optimize`]) plus its uniform stats.
 pub type EngineResult = Optimized<EngineStats>;
 
 /// A named optimization pass over an AIG.
 pub trait Engine: Send + Sync {
     /// Short engine name (used in reports and logs).
     fn name(&self) -> &str;
-    /// Runs the pass. Implementations never return a larger network.
+    /// Runs the pass. Every engine of this crate runs through
+    /// `engine::timed`, the one place the never-worse rule lives: a pass
+    /// that grew the network falls back to its cleaned input with
+    /// `accepted = 0`, keeping its work counters (`tried`, `bailouts`).
     fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult;
     /// A cheaper preset of this engine for the pipeline's retry ladder:
     /// after a failed invocation (panic or forced bailout) the window is
@@ -321,23 +325,27 @@ pub fn run_checked(
     }
 }
 
-/// Times `run`, computes the node gain, and lets `fill` project the
-/// engine-native stats onto [`EngineStats`].
-fn timed<S>(
-    aig: &Aig,
-    run: impl FnOnce(&Aig) -> (Aig, S),
-    fill: impl FnOnce(S, &mut EngineStats),
-) -> EngineResult {
-    let before = aig.num_ands() as i64;
+/// Times `run` and computes the node gain: the one place the never-worse
+/// rule lives. A result with more AND nodes than `aig` is discarded for
+/// `aig.cleanup()`, with `accepted` zeroed and the work counters
+/// (`tried`, `bailouts`) kept.
+fn timed(aig: &Aig, run: impl FnOnce(&Aig) -> (Aig, EngineStats)) -> EngineResult {
+    let before = aig.num_ands();
     let timer = Timer::start();
-    let (aig, native) = run(aig);
-    let mut stats = EngineStats {
-        gain: before - aig.num_ands() as i64,
-        ..EngineStats::default()
-    };
-    fill(native, &mut stats);
+    let (mut result, mut stats) = run(aig);
+    if result.num_ands() > before {
+        result = aig.cleanup();
+        stats.accepted = 0;
+    }
+    stats.gain = before as i64 - result.num_ands() as i64;
     stats.busy = timer.stop();
-    EngineResult { aig, stats }
+    EngineResult { aig: result, stats }
+}
+
+/// Runs `engine` on `aig` serially under an unlimited budget.
+#[cfg(test)]
+pub(crate) fn run_unbounded(engine: &dyn Engine, aig: &Aig) -> EngineResult {
+    engine.optimize(aig, &EngineCtx::new(&Budget::unlimited()))
 }
 
 /// AND-tree balancing as an [`Engine`].
@@ -350,14 +358,15 @@ impl Engine for Balance {
     }
 
     fn optimize(&self, aig: &Aig, _ctx: &EngineCtx<'_>) -> EngineResult {
-        timed(
-            aig,
-            |a| (balance(a), ()),
-            |(), stats| {
-                stats.tried = 1;
-                stats.accepted = usize::from(stats.gain > 0);
-            },
-        )
+        timed(aig, |a| {
+            let out = balance(a);
+            let stats = EngineStats {
+                tried: 1,
+                accepted: usize::from(out.num_ands() < a.num_ands()),
+                ..EngineStats::default()
+            };
+            (out, stats)
+        })
     }
 }
 
@@ -374,14 +383,7 @@ impl Engine for Rewrite {
     }
 
     fn optimize(&self, aig: &Aig, _ctx: &EngineCtx<'_>) -> EngineResult {
-        timed(
-            aig,
-            |a| rewrite_impl(a, &self.options),
-            |native, stats| {
-                stats.tried = native.cuts_tried;
-                stats.accepted = native.rewritten;
-            },
-        )
+        timed(aig, |a| rewrite_impl(a, &self.options))
     }
 }
 
@@ -398,14 +400,7 @@ impl Engine for Refactor {
     }
 
     fn optimize(&self, aig: &Aig, _ctx: &EngineCtx<'_>) -> EngineResult {
-        timed(
-            aig,
-            |a| refactor_impl(a, &self.options),
-            |native, stats| {
-                stats.tried = native.considered;
-                stats.accepted = native.refactored;
-            },
-        )
+        timed(aig, |a| refactor_impl(a, &self.options))
     }
 }
 
@@ -422,14 +417,7 @@ impl Engine for Resub {
     }
 
     fn optimize(&self, aig: &Aig, _ctx: &EngineCtx<'_>) -> EngineResult {
-        timed(
-            aig,
-            |a| resub_impl(a, &self.options),
-            |native, stats| {
-                stats.tried = native.searched;
-                stats.accepted = native.zero_resubs + native.one_resubs;
-            },
-        )
+        timed(aig, |a| resub_impl(a, &self.options))
     }
 }
 
@@ -446,17 +434,9 @@ impl Engine for Mspf {
     }
 
     fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
-        timed(
-            aig,
-            |a| mspf_optimize_filtered(a, &self.options, ctx.budget(), ctx.sim()),
-            |native, stats| {
-                stats.tried = native.mspf_computed;
-                // A constant replacement counts in both `replaced` and
-                // `constants`; `replaced` alone counts each node once.
-                stats.accepted = native.replaced;
-                stats.bailouts = native.bailouts;
-            },
-        )
+        timed(aig, |a| {
+            mspf_optimize_filtered(a, &self.options, ctx.budget(), ctx.sim())
+        })
     }
 
     fn reduced_effort(&self) -> Option<Box<dyn Engine>> {
@@ -480,15 +460,9 @@ impl Engine for Bdiff {
     }
 
     fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
-        timed(
-            aig,
-            |a| boolean_difference_resub_filtered(a, &self.options, ctx.budget(), ctx.sim()),
-            |native, stats| {
-                stats.tried = native.pairs_tried;
-                stats.accepted = native.accepted;
-                stats.bailouts = native.bailouts;
-            },
-        )
+        timed(aig, |a| {
+            boolean_difference_resub_filtered(a, &self.options, ctx.budget(), ctx.sim())
+        })
     }
 
     fn reduced_effort(&self) -> Option<Box<dyn Engine>> {
@@ -516,14 +490,9 @@ impl Engine for Hetero {
     }
 
     fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
-        timed(
-            aig,
-            |a| hetero_eliminate_kernel_impl(a, &self.options, ctx.num_threads()),
-            |native, stats| {
-                stats.tried = native.partitions;
-                stats.accepted = native.improved;
-            },
-        )
+        timed(aig, |a| {
+            hetero_eliminate_kernel_impl(a, &self.options, ctx.num_threads())
+        })
     }
 }
 
@@ -540,17 +509,16 @@ impl Engine for Gradient {
     }
 
     fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
-        timed(
-            aig,
-            |a| gradient_optimize_filtered(a, &self.options, ctx),
-            |native, stats| {
-                for (_, record) in &native.records {
-                    stats.tried += record.tried as usize;
-                    stats.accepted += record.succeeded as usize;
-                    stats.bailouts += record.bailouts as usize;
-                }
-            },
-        )
+        timed(aig, |a| {
+            let (out, native) = gradient_optimize_filtered(a, &self.options, ctx);
+            let mut stats = EngineStats::default();
+            for (_, record) in &native.records {
+                stats.tried += record.tried as usize;
+                stats.accepted += record.succeeded as usize;
+                stats.bailouts += record.bailouts as usize;
+            }
+            (out, stats)
+        })
     }
 
     fn reduced_effort(&self) -> Option<Box<dyn Engine>> {
@@ -577,23 +545,22 @@ impl Engine for Sweep {
     }
 
     fn optimize(&self, aig: &Aig, ctx: &EngineCtx<'_>) -> EngineResult {
-        timed(
-            aig,
-            |a| {
-                let mut work = a.cleanup();
-                let outcome = sweep(&mut work, &self.options);
-                if let Some(svc) = ctx.sim() {
-                    for witness in &outcome.witnesses {
-                        svc.record_cex(witness);
-                    }
+        timed(aig, |a| {
+            let mut work = a.cleanup();
+            let outcome = sweep(&mut work, &self.options);
+            if let Some(svc) = ctx.sim() {
+                for witness in &outcome.witnesses {
+                    svc.record_cex(witness);
                 }
-                (work.cleanup(), outcome.stats)
-            },
-            |native, stats| {
-                stats.tried = native.merged + native.refuted + native.undecided;
-                stats.accepted = native.merged;
-            },
-        )
+            }
+            let native = outcome.stats;
+            let stats = EngineStats {
+                tried: native.merged + native.refuted + native.undecided,
+                accepted: native.merged,
+                ..EngineStats::default()
+            };
+            (work.cleanup(), stats)
+        })
     }
 }
 
@@ -611,17 +578,15 @@ impl Engine for Redundancy {
     }
 
     fn optimize(&self, aig: &Aig, _ctx: &EngineCtx<'_>) -> EngineResult {
-        timed(
-            aig,
-            |a| {
-                let run = remove_redundancies(a, &self.options);
-                (run.aig, run.stats)
-            },
-            |native, stats| {
-                stats.tried = native.checks;
-                stats.accepted = native.removed;
-            },
-        )
+        timed(aig, |a| {
+            let run = remove_redundancies(a, &self.options);
+            let stats = EngineStats {
+                tried: run.stats.checks,
+                accepted: run.stats.removed,
+                ..EngineStats::default()
+            };
+            (run.aig, stats)
+        })
     }
 }
 
@@ -688,7 +653,8 @@ mod tests {
     #[test]
     fn mspf_counts_a_constant_replacement_once() {
         // f = a & b is observable at the output only through g = f & !a,
-        // i.e. when a = 0, where f = 0: MSPF replaces f by the constant.
+        // i.e. when a = 0, where f = 0: MSPF replaces f by the constant,
+        // and that replacement counts once.
         let mut aig = Aig::new();
         let a = aig.add_input();
         let b = aig.add_input();
@@ -697,14 +663,38 @@ mod tests {
         let g = aig.and(f, !a);
         let out = aig.xor(g, c);
         aig.add_output(out);
-        let budget = Budget::unlimited();
-        let mspf = Mspf::default();
-        let (_, native) = mspf_optimize_filtered(&aig, &mspf.options, &budget, None);
-        assert!(native.constants > 0, "{native:?}");
-        let run = mspf.optimize(&aig, &EngineCtx::new(&budget));
-        assert_eq!(run.stats.accepted, native.replaced);
+        let run = run_unbounded(&Mspf::default(), &aig);
+        assert_eq!(run.stats.accepted, 2, "{:?}", run.stats);
         assert!(run.stats.accepted <= run.stats.tried, "{:?}", run.stats);
         assert!(equivalent(&aig, &run.aig));
+    }
+
+    #[test]
+    fn a_pass_that_falls_back_keeps_its_work_counters() {
+        // Rewriting this network grows it (5 → 6 ANDs after cleanup), so
+        // the engine returns its input; the cuts it evaluated still count.
+        let mut aig = Aig::new();
+        let a = aig.add_input();
+        let b = aig.add_input();
+        let c = aig.add_input();
+        let d = aig.add_input();
+        let e = aig.add_input();
+        let n6 = aig.and(!a, !d);
+        let n7 = aig.and(!a, !c);
+        let n8 = aig.and(b, !n7);
+        let n9 = aig.and(!a, !n8);
+        let n10 = aig.and(!e, n8);
+        aig.add_output(n10);
+        aig.add_output(!n9);
+        aig.add_output(n6);
+        let run = run_unbounded(&Rewrite::default(), &aig);
+        assert_eq!(
+            sbm_aig::aiger::write(&run.aig),
+            sbm_aig::aiger::write(&aig.cleanup())
+        );
+        assert_eq!(run.stats.accepted, 0, "{:?}", run.stats);
+        assert_eq!(run.stats.gain, 0, "{:?}", run.stats);
+        assert!(run.stats.tried > 0, "{:?}", run.stats);
     }
 
     #[test]

@@ -19,6 +19,9 @@ use sbm_sop::eliminate::eliminate;
 use sbm_sop::extract::extract;
 use sbm_sop::{SignalLit, SopNetwork};
 
+use crate::engine::EngineStats;
+use crate::rewrite::emit_factored;
+
 /// The paper's empirically useful eliminate thresholds.
 pub const DEFAULT_THRESHOLDS: [i64; 8] = [-1, 2, 5, 20, 50, 100, 200, 300];
 
@@ -45,17 +48,6 @@ impl Default for HeteroOptions {
             extract_rounds: 20,
         }
     }
-}
-
-/// Statistics of a heterogeneous eliminate/kernel pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HeteroStats {
-    /// Partitions processed.
-    pub partitions: usize,
-    /// Partitions where some threshold beat the identity.
-    pub improved: usize,
-    /// AIG nodes saved in total.
-    pub nodes_saved: usize,
 }
 
 /// Extracts a partition as a standalone [`SopNetwork`]: leaves become
@@ -108,20 +100,21 @@ fn optimize_with_threshold(
 
 /// Runs the pass; with `num_threads > 1` each partition's threshold
 /// ladder is evaluated on scoped threads (the result is the same either
-/// way).
+/// way). `tried` counts the partitions processed, `accepted` those where
+/// some threshold beat the identity.
 pub(crate) fn hetero_eliminate_kernel_impl(
     aig: &Aig,
     options: &HeteroOptions,
     num_threads: usize,
-) -> (Aig, HeteroStats) {
+) -> (Aig, EngineStats) {
     let mut work = aig.cleanup();
-    let mut stats = HeteroStats::default();
+    let mut stats = EngineStats::default();
     let parts = partition(&work, &options.partition);
     for part in &parts {
         if part.nodes.len() < 4 || part.leaves.is_empty() {
             continue;
         }
-        stats.partitions += 1;
+        stats.tried += 1;
         let Some(net) = partition_to_sop(&work, part) else {
             continue;
         };
@@ -180,68 +173,40 @@ pub(crate) fn hetero_eliminate_kernel_impl(
             }
         }
         if ok && created < saving {
-            stats.improved += 1;
-            stats.nodes_saved += saving - created;
+            stats.accepted += 1;
         }
     }
-    let result = work.cleanup();
-    if result.num_ands() <= aig.num_ands() {
-        (result, stats)
-    } else {
-        // The pass falls back to its input: its work stands, its
-        // accepted changes do not.
-        (
-            aig.cleanup(),
-            HeteroStats {
-                improved: 0,
-                nodes_saved: 0,
-                ..stats
-            },
-        )
-    }
+    (work.cleanup(), stats)
 }
 
 /// Emits the (optimized) partition network into the AIG over the original
 /// leaf literals; returns the new root literals in output order.
 fn emit_sop_network(aig: &mut Aig, net: &SopNetwork, leaf_lits: &[Lit]) -> Vec<Lit> {
-    let mut map: HashMap<u32, Lit> = HashMap::new();
-    for (i, &l) in leaf_lits.iter().enumerate() {
-        map.insert(i as u32, l);
-    }
+    // The literal of every SOP signal, leaves first.
+    let mut lits = vec![Lit::FALSE; net.num_signals()];
+    lits[..leaf_lits.len()].copy_from_slice(leaf_lits);
     for s in net.topo_order() {
         let fac = sbm_sop::factor::factor(net.cover(s));
-        let lit = emit_factored(aig, &fac, &map);
-        map.insert(s, lit);
+        lits[s as usize] = emit_factored(aig, &fac, &lits);
     }
     net.outputs()
         .iter()
-        .map(|l| map[&l.signal()].complement_if(l.is_negated()))
+        .map(|l| lits[l.signal() as usize].complement_if(l.is_negated()))
         .collect()
-}
-
-fn emit_factored(aig: &mut Aig, fac: &sbm_sop::factor::Factored, map: &HashMap<u32, Lit>) -> Lit {
-    use sbm_sop::factor::Factored;
-    match fac {
-        Factored::Zero => Lit::FALSE,
-        Factored::One => Lit::TRUE,
-        Factored::Lit(l) => map[&l.signal()].complement_if(l.is_negated()),
-        Factored::And(a, b) => {
-            let la = emit_factored(aig, a, map);
-            let lb = emit_factored(aig, b, map);
-            aig.and(la, lb)
-        }
-        Factored::Or(a, b) => {
-            let la = emit_factored(aig, a, map);
-            let lb = emit_factored(aig, b, map);
-            aig.or(la, lb)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, EngineCtx, EngineResult, Hetero};
     use sbm_sat::{EquivalenceOracle, MiterOracle, Verdict};
+
+    /// Runs the pass through its [`Engine`] on two threads; the
+    /// never-worse rule lives there.
+    fn hetero(aig: &Aig) -> EngineResult {
+        let budget = sbm_budget::Budget::unlimited();
+        Hetero::default().optimize(aig, &EngineCtx::new(&budget).with_threads(2))
+    }
 
     /// A decoder-like structure with heavy kernel sharing.
     fn kernel_rich_aig() -> Aig {
@@ -266,7 +231,10 @@ mod tests {
     fn extracts_shared_kernels_across_outputs() {
         let aig = kernel_rich_aig();
         let before = aig.num_ands();
-        let (optimized, stats) = hetero_eliminate_kernel_impl(&aig, &HeteroOptions::default(), 2);
+        let EngineResult {
+            aig: optimized,
+            stats,
+        } = hetero(&aig);
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent
@@ -297,7 +265,7 @@ mod tests {
         let x = aig.xor(a, c);
         let f = aig.and(m, x);
         aig.add_output(f);
-        let (optimized, _) = hetero_eliminate_kernel_impl(&aig, &HeteroOptions::default(), 2);
+        let optimized = hetero(&aig).aig;
         assert!(optimized.num_ands() <= aig.num_ands());
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),

@@ -30,6 +30,7 @@ use sbm_sim::{
 };
 
 use crate::bdd_bridge::{pooled_manager, recycle_manager, window_bdds};
+use crate::engine::EngineStats;
 
 /// Options for MSPF optimization.
 #[derive(Debug, Clone, Copy)]
@@ -55,19 +56,6 @@ impl Default for MspfOptions {
             max_candidates: 32,
         }
     }
-}
-
-/// Statistics of an MSPF pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MspfStats {
-    /// Nodes whose MSPF was computed.
-    pub mspf_computed: usize,
-    /// Nodes replaced by a permissible existing signal.
-    pub replaced: usize,
-    /// Nodes proven constant under observability don't-cares.
-    pub constants: usize,
-    /// BDD bailouts.
-    pub bailouts: usize,
 }
 
 /// Computes the MSPF of `node` inside the window: the leaf-minterm set on
@@ -137,8 +125,8 @@ fn roots_with_node_var(
 
 /// Counts `error` as a node-limit bailout; budget interruptions are a
 /// "stop working" signal, not a per-node failure, and are excluded so
-/// `MspfStats::bailouts` stays exact under deadlines.
-fn count_bailout(stats: &mut MspfStats, error: BddError) {
+/// the bailout count stays exact under deadlines.
+fn count_bailout(stats: &mut EngineStats, error: BddError) {
     if !error.is_budget() {
         stats.bailouts += 1;
     }
@@ -153,14 +141,18 @@ fn count_bailout(stats: &mut MspfStats, error: BddError) {
 /// computation entirely. The filter is a sound necessary condition
 /// (identical behavior on every care-set pattern simulation has seen),
 /// so the set of accepted replacements is unchanged.
+///
+/// `tried` counts the nodes whose MSPF was computed, `accepted` the nodes
+/// replaced by a permissible existing signal or a constant, `bailouts`
+/// the BDD node-limit bailouts.
 pub(crate) fn mspf_optimize_filtered(
     aig: &Aig,
     options: &MspfOptions,
     budget: &Budget,
     sim: Option<&SigService>,
-) -> (Aig, MspfStats) {
+) -> (Aig, EngineStats) {
     let mut work = aig.cleanup();
-    let mut stats = MspfStats::default();
+    let mut stats = EngineStats::default();
     let parts = partition(&work, &options.partition);
     let mut fanout_counts = work.fanout_counts();
     // Network-wide signatures for the filter; refreshed after every
@@ -252,7 +244,7 @@ pub(crate) fn mspf_optimize_filtered(
                     continue;
                 }
             };
-            stats.mspf_computed += 1;
+            stats.tried += 1;
             if mspf == Bdd::ZERO {
                 continue; // no flexibility at all
             }
@@ -306,10 +298,7 @@ pub(crate) fn mspf_optimize_filtered(
                 let Ok(c_care) = mgr.and(bc, care) else { break };
                 // Strong canonicity: connectable iff same canonical node.
                 if c_care == f_care && work.replace(f, cand).is_ok() {
-                    stats.replaced += 1;
-                    if cand.is_const() {
-                        stats.constants += 1;
-                    }
+                    stats.accepted += 1;
                     fanout_counts = work.fanout_counts();
                     replaced = true;
                     break;
@@ -329,26 +318,13 @@ pub(crate) fn mspf_optimize_filtered(
         }
         recycle_manager(mgr);
     }
-    let result = work.cleanup();
-    if result.num_ands() <= aig.num_ands() {
-        (result, stats)
-    } else {
-        // The pass falls back to its input: its work stands, its
-        // accepted changes do not.
-        (
-            aig.cleanup(),
-            MspfStats {
-                replaced: 0,
-                constants: 0,
-                ..stats
-            },
-        )
-    }
+    (work.cleanup(), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_unbounded, Mspf};
     use sbm_sat::{EquivalenceOracle, MiterOracle, Verdict};
 
     #[test]
@@ -403,8 +379,7 @@ mod tests {
         let g = aig.or(x, c);
         aig.add_output(f);
         aig.add_output(g);
-        let (optimized, _) =
-            mspf_optimize_filtered(&aig, &MspfOptions::default(), &Budget::unlimited(), None);
+        let optimized = run_unbounded(&Mspf::default(), &aig).aig;
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent

@@ -6,11 +6,12 @@
 //! truth table, resynthesize it with ISOP + algebraic factoring, and keep
 //! the result when it is smaller than the cone it replaces.
 
-use sbm_aig::mffc::mffc_size;
+use sbm_aig::mffc::{mffc_size, mffc_within};
 use sbm_aig::sim::{lit_truth_table, window_truth_tables};
 use sbm_aig::{Aig, Lit};
 
-use crate::rewrite::{cut_mffc, emit_function};
+use crate::engine::EngineStats;
+use crate::rewrite::emit_function;
 
 /// Options for refactoring.
 #[derive(Debug, Clone, Copy)]
@@ -33,18 +34,11 @@ impl Default for RefactorOptions {
     }
 }
 
-/// Statistics of a refactoring pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RefactorStats {
-    /// Cones collapsed and resynthesized.
-    pub refactored: usize,
-    /// Cones considered.
-    pub considered: usize,
-}
-
-pub(crate) fn refactor_impl(aig: &Aig, options: &RefactorOptions) -> (Aig, RefactorStats) {
+/// The refactoring pass: `tried` counts the cones considered, `accepted`
+/// the cones refactored.
+pub(crate) fn refactor_impl(aig: &Aig, options: &RefactorOptions) -> (Aig, EngineStats) {
     let mut work = aig.cleanup();
-    let mut stats = RefactorStats::default();
+    let mut stats = EngineStats::default();
     let order = work.topo_order();
     let mut fanout_counts = work.fanout_counts();
     // Visit from the outputs down (reverse topological) so big cones are
@@ -63,12 +57,12 @@ pub(crate) fn refactor_impl(aig: &Aig, options: &RefactorOptions) -> (Aig, Refac
         if support.len() < 2 || support.len() > options.max_support {
             continue;
         }
-        stats.considered += 1;
+        stats.tried += 1;
         let tables = window_truth_tables(&work, &[id], &support);
         let Some(tt) = lit_truth_table(&tables, Lit::new(id, false)) else {
             continue;
         };
-        let saving = cut_mffc(&work, id, &support, &fanout_counts);
+        let saving = mffc_within(&work, id, &support, &fanout_counts).len();
         let leaf_lits: Vec<Lit> = support.iter().map(|&n| Lit::new(n, false)).collect();
         let before = work.num_nodes();
         let Some(replacement) = emit_function(&mut work, &tt, &leaf_lits) else {
@@ -82,29 +76,17 @@ pub(crate) fn refactor_impl(aig: &Aig, options: &RefactorOptions) -> (Aig, Refac
             continue;
         }
         if work.replace(id, replacement).is_ok() {
-            stats.refactored += 1;
+            stats.accepted += 1;
             fanout_counts = work.fanout_counts();
         }
     }
-    let result = work.cleanup();
-    if result.num_ands() <= aig.num_ands() {
-        (result, stats)
-    } else {
-        // The pass falls back to its input: its work stands, its
-        // accepted changes do not.
-        (
-            aig.cleanup(),
-            RefactorStats {
-                refactored: 0,
-                ..stats
-            },
-        )
-    }
+    (work.cleanup(), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_unbounded, Refactor};
     use sbm_sat::{EquivalenceOracle, MiterOracle, Verdict};
 
     #[test]
@@ -136,7 +118,7 @@ mod tests {
         let c = aig.add_input();
         let m = aig.maj3(a, b, c);
         aig.add_output(m);
-        let (optimized, _) = refactor_impl(&aig, &RefactorOptions::default());
+        let optimized = run_unbounded(&Refactor::default(), &aig).aig;
         assert!(optimized.num_ands() <= aig.num_ands());
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),

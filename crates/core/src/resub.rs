@@ -12,6 +12,8 @@ use sbm_aig::window::{partition, PartitionOptions};
 use sbm_aig::{Aig, Lit, NodeId};
 use sbm_tt::TruthTable;
 
+use crate::engine::EngineStats;
+
 /// Options for windowed resubstitution.
 #[derive(Debug, Clone, Copy)]
 pub struct ResubOptions {
@@ -37,20 +39,12 @@ impl Default for ResubOptions {
     }
 }
 
-/// Statistics of a resubstitution pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResubStats {
-    /// Nodes a replacement was searched for (live, with a nonempty MFFC).
-    pub searched: usize,
-    /// Direct divisor replacements.
-    pub zero_resubs: usize,
-    /// Two-divisor gate replacements.
-    pub one_resubs: usize,
-}
-
-pub(crate) fn resub_impl(aig: &Aig, options: &ResubOptions) -> (Aig, ResubStats) {
+/// The resubstitution pass: `tried` counts the nodes a replacement was
+/// searched for (live, with a nonempty MFFC), `accepted` the direct
+/// divisor (0-resub) and two-divisor gate (1-resub) replacements.
+pub(crate) fn resub_impl(aig: &Aig, options: &ResubOptions) -> (Aig, EngineStats) {
     let mut work = aig.cleanup();
-    let mut stats = ResubStats::default();
+    let mut stats = EngineStats::default();
     let parts = partition(&work, &options.partition);
     let mut fanout_counts = work.fanout_counts();
     for part in &parts {
@@ -77,7 +71,7 @@ pub(crate) fn resub_impl(aig: &Aig, options: &ResubOptions) -> (Aig, ResubStats)
             if saving == 0 {
                 continue;
             }
-            stats.searched += 1;
+            stats.tried += 1;
             let mut replacement: Option<(Lit, usize)> = None; // (lit, cost)
 
             // 0-resub: an existing divisor (either phase) matches exactly.
@@ -140,31 +134,13 @@ pub(crate) fn resub_impl(aig: &Aig, options: &ResubOptions) -> (Aig, ResubStats)
             }
             if let Some((lit, cost)) = replacement {
                 if cost < saving && work.replace(f, lit).is_ok() {
-                    if cost == 0 {
-                        stats.zero_resubs += 1;
-                    } else {
-                        stats.one_resubs += 1;
-                    }
+                    stats.accepted += 1;
                     fanout_counts = work.fanout_counts();
                 }
             }
         }
     }
-    let result = work.cleanup();
-    if result.num_ands() <= aig.num_ands() {
-        (result, stats)
-    } else {
-        // The pass falls back to its input: its work stands, its
-        // accepted changes do not.
-        (
-            aig.cleanup(),
-            ResubStats {
-                zero_resubs: 0,
-                one_resubs: 0,
-                ..stats
-            },
-        )
-    }
+    (work.cleanup(), stats)
 }
 
 fn build_gate(aig: &mut Aig, code: u8, l1: Lit, l2: Lit) -> Lit {
@@ -182,7 +158,7 @@ fn build_gate(aig: &mut Aig, code: u8, l1: Lit, l2: Lit) -> Lit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineCtx, Resub};
+    use crate::engine::{run_unbounded, Resub};
     use sbm_sat::{EquivalenceOracle, MiterOracle, Verdict};
 
     #[test]
@@ -244,10 +220,7 @@ mod tests {
         aig.add_output(g);
         aig.add_output(f);
         aig.add_output(m);
-        let budget = sbm_budget::Budget::unlimited();
-        let stats = Resub::default()
-            .optimize(&aig, &EngineCtx::new(&budget))
-            .stats;
+        let stats = run_unbounded(&Resub::default(), &aig).stats;
         assert!(stats.accepted >= 1, "{stats:?}");
         assert!(stats.tried > stats.accepted, "{stats:?}");
     }
@@ -262,7 +235,7 @@ mod tests {
         let x = aig.maj3(a, b, c);
         let y = aig.xor(x, d);
         aig.add_output(y);
-        let (optimized, _) = resub_impl(&aig, &ResubOptions::default());
+        let optimized = run_unbounded(&Resub::default(), &aig).aig;
         assert!(optimized.num_ands() <= aig.num_ands());
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),

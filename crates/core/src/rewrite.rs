@@ -7,14 +7,17 @@
 //! taking structural sharing with the existing network into account.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use sbm_aig::cut::{enumerate_cuts, CutOptions};
+use sbm_aig::mffc::mffc_within;
 use sbm_aig::sim::{lit_truth_table, window_truth_tables};
-use sbm_aig::{Aig, Lit, NodeId};
+use sbm_aig::{Aig, Lit};
 use sbm_sop::factor::{factor, Factored};
 use sbm_sop::isop::isop_exact;
 use sbm_tt::TruthTable;
+
+use crate::engine::EngineStats;
 
 /// Options for rewriting.
 #[derive(Debug, Clone, Copy)]
@@ -36,54 +39,6 @@ impl Default for RewriteOptions {
             allow_zero_gain: false,
         }
     }
-}
-
-/// Statistics of a rewriting pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RewriteStats {
-    /// Nodes rewritten.
-    pub rewritten: usize,
-    /// Cuts evaluated.
-    pub cuts_tried: usize,
-}
-
-/// Counts the nodes that would be freed by disconnecting `root` from its
-/// cut: members of `cone(root, leaves)` whose every fanout is inside the
-/// freed set (a cut-local MFFC).
-pub(crate) fn cut_mffc(aig: &Aig, root: NodeId, leaves: &[NodeId], fanout_counts: &[u32]) -> usize {
-    cut_mffc_set(aig, root, leaves, fanout_counts).len()
-}
-
-/// The freed set itself (see [`cut_mffc`]); `root` included.
-pub(crate) fn cut_mffc_set(
-    aig: &Aig,
-    root: NodeId,
-    leaves: &[NodeId],
-    fanout_counts: &[u32],
-) -> HashSet<NodeId> {
-    let cone: HashSet<NodeId> = aig.cone(&[root], leaves).into_iter().collect();
-    let mut remaining: HashMap<NodeId, u32> = HashMap::new();
-    let mut stack = vec![root];
-    let mut visited: HashSet<NodeId> = HashSet::new();
-    while let Some(id) = stack.pop() {
-        if !visited.insert(id) {
-            continue;
-        }
-        let (a, b) = aig.fanins(id);
-        for fanin in [a.node(), b.node()] {
-            if !cone.contains(&fanin) {
-                continue;
-            }
-            let left = remaining
-                .entry(fanin)
-                .or_insert_with(|| fanout_counts[fanin.index()]);
-            *left = left.saturating_sub(1);
-            if *left == 0 {
-                stack.push(fanin);
-            }
-        }
-    }
-    visited
 }
 
 /// The resynthesis [`emit_function`] chooses for one truth table: the
@@ -207,7 +162,9 @@ pub(crate) fn emit_function(aig: &mut Aig, tt: &TruthTable, leaf_lits: &[Lit]) -
     })
 }
 
-fn emit_factored(aig: &mut Aig, fac: &Factored, leaf_lits: &[Lit]) -> Lit {
+/// Emits `fac` into `aig` over `leaf_lits` (a factored-form literal's
+/// signal indexes the slice), strashing every gate.
+pub(crate) fn emit_factored(aig: &mut Aig, fac: &Factored, leaf_lits: &[Lit]) -> Lit {
     match fac {
         Factored::Zero => Lit::FALSE,
         Factored::One => Lit::TRUE,
@@ -225,9 +182,11 @@ fn emit_factored(aig: &mut Aig, fac: &Factored, leaf_lits: &[Lit]) -> Lit {
     }
 }
 
-pub(crate) fn rewrite_impl(aig: &Aig, options: &RewriteOptions) -> (Aig, RewriteStats) {
+/// The rewriting pass: `tried` counts the cuts evaluated, `accepted` the
+/// nodes rewritten.
+pub(crate) fn rewrite_impl(aig: &Aig, options: &RewriteOptions) -> (Aig, EngineStats) {
     let mut work = aig.cleanup();
-    let mut stats = RewriteStats::default();
+    let mut stats = EngineStats::default();
     let cuts = enumerate_cuts(
         &work,
         CutOptions {
@@ -256,12 +215,12 @@ pub(crate) fn rewrite_impl(aig: &Aig, options: &RewriteOptions) -> (Aig, Rewrite
             if cut.leaves().iter().any(|&l| work.is_replaced(l)) {
                 continue;
             }
-            stats.cuts_tried += 1;
+            stats.tried += 1;
             let tables = window_truth_tables(&work, &[id], cut.leaves());
             let Some(tt) = lit_truth_table(&tables, Lit::new(id, false)) else {
                 continue;
             };
-            let saving = cut_mffc(&work, id, cut.leaves(), &fanout_counts);
+            let saving = mffc_within(&work, id, cut.leaves(), &fanout_counts).len();
             let leaf_lits: Vec<Lit> = cut.leaves().iter().map(|&n| Lit::new(n, false)).collect();
             let before = work.num_nodes();
             let Some(replacement) = emit_function(&mut work, &tt, &leaf_lits) else {
@@ -281,30 +240,18 @@ pub(crate) fn rewrite_impl(aig: &Aig, options: &RewriteOptions) -> (Aig, Rewrite
         }
         if let Some((replacement, _)) = best {
             if work.replace(id, replacement).is_ok() {
-                stats.rewritten += 1;
+                stats.accepted += 1;
                 fanout_counts = work.fanout_counts();
             }
         }
     }
-    let result = work.cleanup();
-    if result.num_ands() <= aig.num_ands() {
-        (result, stats)
-    } else {
-        // The pass falls back to its input: its work stands, its
-        // accepted changes do not.
-        (
-            aig.cleanup(),
-            RewriteStats {
-                rewritten: 0,
-                ..stats
-            },
-        )
-    }
+    (work.cleanup(), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_unbounded, Rewrite};
     use sbm_sat::{EquivalenceOracle, MiterOracle, Verdict};
 
     #[test]
@@ -335,7 +282,7 @@ mod tests {
         let e = aig.add_input();
         let m = aig.mux(s, t, e);
         aig.add_output(m);
-        let (optimized, _) = rewrite_impl(&aig, &RewriteOptions::default());
+        let optimized = run_unbounded(&Rewrite::default(), &aig).aig;
         assert!(optimized.num_ands() <= 3);
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
@@ -355,57 +302,12 @@ mod tests {
         let z = aig.or(x, d); // x shared
         aig.add_output(y);
         aig.add_output(z);
-        let (optimized, _) = rewrite_impl(&aig, &RewriteOptions::default());
+        let optimized = run_unbounded(&Rewrite::default(), &aig).aig;
         assert_eq!(
             MiterOracle::new().check(&aig, &optimized),
             Verdict::Equivalent
         );
         assert!(optimized.num_ands() <= aig.num_ands());
-    }
-
-    #[test]
-    fn cut_mffc_counts_exclusive_cone() {
-        let mut aig = Aig::new();
-        let a = aig.add_input();
-        let b = aig.add_input();
-        let c = aig.add_input();
-        let ab = aig.and(a, b);
-        let f = aig.and(ab, c);
-        aig.add_output(f);
-        let counts = aig.fanout_counts();
-        let leaves = [a.node(), b.node(), c.node()];
-        assert_eq!(cut_mffc(&aig, f.node(), &leaves, &counts), 2);
-        // With ab shared, only f is freed.
-        aig.add_output(ab);
-        let counts = aig.fanout_counts();
-        assert_eq!(cut_mffc(&aig, f.node(), &leaves, &counts), 1);
-    }
-
-    #[test]
-    fn a_pass_that_falls_back_keeps_its_work_counters() {
-        // Rewriting this network grows it (5 → 6 ANDs after cleanup), so
-        // the pass returns its input; the cuts it evaluated still count.
-        let mut aig = Aig::new();
-        let a = aig.add_input();
-        let b = aig.add_input();
-        let c = aig.add_input();
-        let d = aig.add_input();
-        let e = aig.add_input();
-        let n6 = aig.and(!a, !d);
-        let n7 = aig.and(!a, !c);
-        let n8 = aig.and(b, !n7);
-        let n9 = aig.and(!a, !n8);
-        let n10 = aig.and(!e, n8);
-        aig.add_output(n10);
-        aig.add_output(!n9);
-        aig.add_output(n6);
-        let (optimized, stats) = rewrite_impl(&aig, &RewriteOptions::default());
-        assert_eq!(
-            sbm_aig::aiger::write(&optimized),
-            sbm_aig::aiger::write(&aig.cleanup())
-        );
-        assert_eq!(stats.rewritten, 0);
-        assert!(stats.cuts_tried > 0, "{stats:?}");
     }
 
     /// A network over `n` inputs with some logic already in it, so that

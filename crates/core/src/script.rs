@@ -30,11 +30,8 @@ use sbm_sat::redundancy::RedundancyOptions;
 use sbm_sat::sweep::SweepOptions;
 use sbm_sim::SigService;
 
-use crate::bdiff::BdiffOptions;
 use crate::engine::{self, check_input, check_output, run_checked, Engine, EngineCtx, Optimized};
 use crate::gradient::GradientOptions;
-use crate::hetero::HeteroOptions;
-use crate::mspf::MspfOptions;
 use crate::pipeline::{pass, PipelineReport};
 use crate::refactor::RefactorOptions;
 use crate::resub::ResubOptions;
@@ -331,12 +328,8 @@ fn step_table(options: &SbmOptions, iteration: usize) -> [Unit; 8] {
         whole(Box::new(engine::Gradient {
             options: options.gradient.clone(),
         })),
-        whole(Box::new(engine::Hetero {
-            options: options.hetero.clone(),
-        })),
-        windowed(Box::new(engine::Mspf {
-            options: options.mspf,
-        })),
+        whole(Box::<engine::Hetero>::default()),
+        windowed(Box::<engine::Mspf>::default()),
         windowed(Box::new(engine::Refactor {
             options: RefactorOptions {
                 max_support: if high_effort { 14 } else { 12 },
@@ -344,9 +337,7 @@ fn step_table(options: &SbmOptions, iteration: usize) -> [Unit; 8] {
                 allow_zero_gain: high_effort,
             },
         })),
-        windowed(Box::new(engine::Bdiff {
-            options: options.bdiff,
-        })),
+        windowed(Box::<engine::Bdiff>::default()),
         whole(Box::new(engine::Sweep {
             options: SweepOptions {
                 budget: options.sat_budget,
@@ -363,10 +354,12 @@ fn step_table(options: &SbmOptions, iteration: usize) -> [Unit; 8] {
 }
 
 /// The step runner: runs one checkpoint unit on the cleaned network,
-/// every engine on its schedule behind the never-worse guard, and merges
-/// each engine's stats, latency and check violations into `report`. The
-/// unit's result is cleaned — exactly the form a snapshot persists — and
-/// never larger than its input.
+/// every engine on its schedule, and merges each engine's stats, latency
+/// and check violations into `report`. The unit's result is cleaned —
+/// exactly the form a snapshot persists — and never larger than its
+/// input: every SBM move has gain ≥ 0 (Section IV-A), which
+/// `engine::timed` enforces for a whole-network run and [`pass`]'s
+/// network-level guard for a windowed one.
 fn run_unit(aig: Aig, unit: &Unit, ctx: &EngineCtx<'_>, report: &mut PipelineReport) -> Aig {
     let mut cur = aig.cleanup();
     for (engine, schedule) in unit {
@@ -375,10 +368,7 @@ fn run_unit(aig: Aig, unit: &Unit, ctx: &EngineCtx<'_>, report: &mut PipelineRep
             Schedule::Whole => whole(&cur, engine.as_ref(), ctx),
         };
         report.merge(&run.stats);
-        // Never worse: every SBM move has gain ≥ 0 (Section IV-A).
-        if run.aig.num_ands() <= cur.num_ands() {
-            cur = run.aig;
-        }
+        cur = run.aig;
     }
     cur.cleanup()
 }
@@ -438,12 +428,6 @@ pub fn resyn2rs_fixpoint(aig: &Aig, max_rounds: usize) -> Aig {
 pub struct SbmOptions {
     /// Gradient-engine options for the AIG-optimization step.
     pub gradient: GradientOptions,
-    /// Boolean-difference options.
-    pub bdiff: BdiffOptions,
-    /// Heterogeneous eliminate/kernel options.
-    pub hetero: HeteroOptions,
-    /// MSPF options.
-    pub mspf: MspfOptions,
     /// Conflict budget of the SAT steps.
     pub sat_budget: Option<u64>,
     /// Run-wide simulation-signature service (`true`, the default): every
@@ -511,9 +495,6 @@ impl Default for SbmOptions {
     fn default() -> Self {
         SbmOptions {
             gradient: GradientOptions::default(),
-            bdiff: BdiffOptions::default(),
-            hetero: HeteroOptions::default(),
-            mspf: MspfOptions::default(),
             sat_budget: Some(2_000),
             sim_filter: true,
             iterations: 2,
@@ -547,10 +528,6 @@ pub enum OptionsError {
     /// A SAT budget of zero conflicts can prove nothing; use `None` for
     /// unbudgeted solving instead.
     ZeroSatBudget,
-    /// The hetero engine needs at least one eliminate threshold.
-    EmptyThresholds,
-    /// BDD-based engines need a positive node limit and difference size.
-    ZeroBddLimit,
     /// A zero deadline cannot make progress; use `None` for unbounded.
     ZeroDeadline,
     /// A checkpoint cadence of zero steps never persists anything; use
@@ -568,12 +545,6 @@ impl fmt::Display for OptionsError {
             }
             OptionsError::ZeroSatBudget => {
                 "a SAT budget of 0 conflicts can prove nothing (use None for unbudgeted)"
-            }
-            OptionsError::EmptyThresholds => {
-                "the hetero engine needs at least one eliminate threshold"
-            }
-            OptionsError::ZeroBddLimit => {
-                "BDD engines need a positive node limit and difference size"
             }
             OptionsError::ZeroDeadline => {
                 "a zero deadline cannot make progress (use None for unbounded)"
@@ -596,7 +567,6 @@ impl std::error::Error for OptionsError {}
 ///
 /// let options = SbmOptions::builder()
 ///     .num_threads(4)
-///     .bdd_size_limit(10)
 ///     .build()
 ///     .expect("valid configuration");
 /// assert_eq!(options.num_threads, 4);
@@ -641,29 +611,6 @@ impl SbmOptionsBuilder {
     #[must_use]
     pub fn gradient_budget(mut self, budget: u32) -> Self {
         self.options.gradient.budget = budget;
-        self
-    }
-
-    /// Maximum BDD size of a Boolean difference (the paper's tradeoff
-    /// value is 10).
-    #[must_use]
-    pub fn bdd_size_limit(mut self, size: usize) -> Self {
-        self.options.bdiff.max_diff_size = size;
-        self
-    }
-
-    /// Node limit of the per-window BDD managers (bdiff and MSPF).
-    #[must_use]
-    pub fn bdd_node_limit(mut self, limit: usize) -> Self {
-        self.options.bdiff.bdd_node_limit = limit;
-        self.options.mspf.bdd_node_limit = limit;
-        self
-    }
-
-    /// Eliminate thresholds swept by the hetero engine.
-    #[must_use]
-    pub fn hetero_thresholds(mut self, thresholds: Vec<i64>) -> Self {
-        self.options.hetero.thresholds = thresholds;
         self
     }
 
@@ -736,12 +683,6 @@ impl SbmOptionsBuilder {
         if o.sat_budget == Some(0) {
             return Err(OptionsError::ZeroSatBudget);
         }
-        if o.hetero.thresholds.is_empty() {
-            return Err(OptionsError::EmptyThresholds);
-        }
-        if o.bdiff.bdd_node_limit == 0 || o.mspf.bdd_node_limit == 0 || o.bdiff.max_diff_size == 0 {
-            return Err(OptionsError::ZeroBddLimit);
-        }
         if o.deadline == Some(Duration::ZERO) {
             return Err(OptionsError::ZeroDeadline);
         }
@@ -804,7 +745,7 @@ pub fn sbm_script_budgeted_observed(
 /// The script fingerprint stamped into step snapshots: the cleaned
 /// `input` network node for node (what [`sbm_script_report`] starts
 /// from, `aig.cleanup()`), plus every builder-level knob that changes
-/// *results* — iterations, engine limits, SAT budgets, checking, fault
+/// *results* — iterations, the gradient budget, SAT budgets, checking, fault
 /// plan. Thread count, deadline and the checkpoint configuration itself
 /// are excluded (timing/durability only, a resume may change them). A
 /// snapshot resumes only under its own fingerprint, so a run never
@@ -814,9 +755,10 @@ pub fn sbm_script_budgeted_observed(
 #[must_use]
 pub fn script_fingerprint(options: &SbmOptions, input: &Aig) -> u64 {
     let mut h = Fnv64::new();
-    // v6: the fingerprint covers the input network, so snapshots written
-    // by older binaries (options only) run fresh.
-    h.write_str("sbm-script-v6");
+    // v7: the engine limits left the options (the step table runs the
+    // engines' defaults), so snapshots written by older binaries run
+    // fresh.
+    h.write_str("sbm-script-v7");
     h.write_u64(input.num_inputs() as u64);
     for &id in input.inputs() {
         h.write_u64(id.index() as u64);
@@ -844,13 +786,6 @@ pub fn script_fingerprint(options: &SbmOptions, input: &Aig) -> u64 {
         }
     }
     h.write_u64(u64::from(options.gradient.budget));
-    h.write_u64(options.bdiff.max_diff_size as u64);
-    h.write_u64(options.bdiff.bdd_node_limit as u64);
-    h.write_u64(options.mspf.bdd_node_limit as u64);
-    h.write_u64(options.hetero.thresholds.len() as u64);
-    for &t in &options.hetero.thresholds {
-        h.write_u64(t as u64);
-    }
     h.write_u64(options.check_level as u64);
     match &options.fault_plan {
         None => h.write_u64(0),
@@ -1097,26 +1032,12 @@ mod tests {
             Err(OptionsError::ZeroSatBudget)
         ));
         assert!(SbmOptions::builder().sat_budget(None).build().is_ok());
-        assert!(matches!(
-            SbmOptions::builder().hetero_thresholds(Vec::new()).build(),
-            Err(OptionsError::EmptyThresholds)
-        ));
-        assert!(matches!(
-            SbmOptions::builder().bdd_node_limit(0).build(),
-            Err(OptionsError::ZeroBddLimit)
-        ));
-        assert!(matches!(
-            SbmOptions::builder().bdd_size_limit(0).build(),
-            Err(OptionsError::ZeroBddLimit)
-        ));
         let options = SbmOptions::builder()
             .num_threads(4)
-            .bdd_size_limit(10)
             .iterations(1)
             .build()
             .expect("valid configuration");
         assert_eq!(options.num_threads, 4);
-        assert_eq!(options.bdiff.max_diff_size, 10);
         assert_eq!(options.iterations, 1);
     }
 

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Options come from the validated builder; nonsense values (zero
-    // threads, empty threshold ladders, …) are rejected at build() time.
+    // threads, zero budgets, …) are rejected at build() time.
     // `Boundaries` additionally validates the input and output networks
     // against the structural invariants of `sbm-check`.
     let options = SbmOptions::builder()

@@ -51,6 +51,32 @@ const PINNED: [(&str, u64, u64); 5] = [
     ("dec", 0xd35b_5d84_d29c_0e4b, 0xd35b_5d84_d29c_0e4b),
 ];
 
+/// The counters and the baseline on [`SMALL`], pinned: `(design,
+/// [`engine_rows_hash`] of the `SbmOptions::default()` run, hash of
+/// `resyn2rs_fixpoint(aig, 4)`)`. A change that moves any engine counter
+/// or the baseline must update these values and say so.
+const PINNED_ROWS: [(&str, u64, u64); 5] = [
+    ("int2float", 0xe593_eeb8_3d68_d7a4, 0x6024_71c8_4e13_fba5),
+    ("ctrl", 0xae9a_2c4b_cad2_3815, 0x68c4_f6f4_e9a1_3284),
+    ("router", 0x9566_a9c3_8b31_4668, 0xa6d3_84ce_2ab9_58d2),
+    ("priority", 0x80cd_2309_e2b7_3cc4, 0x46ff_b256_d3c7_1100),
+    ("dec", 0xe4c2_6d7e_658b_ae9e, 0xd35b_5d84_d29c_0e4b),
+];
+
+/// Hash of a run's engine rows: name, windows, tried, accepted, gain and
+/// bailouts of every row, in report order (`busy` is timing, left out).
+fn engine_rows_hash(report: &sbm::core::pipeline::PipelineReport) -> u64 {
+    let mut h = Fnv64::new();
+    for (name, s) in &report.engines {
+        h.write_str(name);
+        for v in [s.windows, s.tried, s.accepted, s.bailouts] {
+            h.write_u64(v as u64);
+        }
+        h.write_u64(s.gain as u64);
+    }
+    h.finish()
+}
+
 #[test]
 fn sbm_script_results_are_pinned() {
     let canonical = SbmOptions::builder()
@@ -58,16 +84,30 @@ fn sbm_script_results_are_pinned() {
         .build()
         .expect("valid configuration");
     assert_eq!(PINNED.map(|(name, _, _)| name), SMALL);
-    for (name, default_hash, canonical_hash) in PINNED {
+    assert_eq!(PINNED_ROWS.map(|(name, _, _)| name), SMALL);
+    for ((name, default_hash, canonical_hash), (_, rows_hash, baseline_hash)) in
+        PINNED.into_iter().zip(PINNED_ROWS)
+    {
         let aig = generate(name, Scale::Reduced).expect("known benchmark");
-        let plain = sbm_script_report(&aig, &SbmOptions::default()).aig;
-        assert_eq!(aiger_hash(&plain), default_hash, "{name}: default options");
+        let plain = sbm_script_report(&aig, &SbmOptions::default());
+        assert_eq!(
+            aiger_hash(&plain.aig),
+            default_hash,
+            "{name}: default options"
+        );
+        assert_eq!(
+            engine_rows_hash(&plain.stats),
+            rows_hash,
+            "{name}: engine rows"
+        );
         let canon = sbm_script_report(&aig, &canonical).aig;
         assert_eq!(
             aiger_hash(&canon),
             canonical_hash,
             "{name}: canonical steps"
         );
+        let baseline = resyn2rs_fixpoint(&aig, 4);
+        assert_eq!(aiger_hash(&baseline), baseline_hash, "{name}: baseline");
     }
 }
 
